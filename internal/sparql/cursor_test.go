@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -361,5 +362,34 @@ func TestCursorOnClose(t *testing.T) {
 	cur.OnClose(func() { ran = true })
 	if !ran {
 		t.Fatal("OnClose after finish did not run immediately")
+	}
+}
+
+// TestOffsetOverflowClamped: an offset near MaxInt must yield an empty
+// page (there are never MaxInt rows), not an overflowed top-k capacity
+// that silently misbehaves. Regression for the REST paging sweep; the
+// HTTP-level test lives in internal/rest.
+func TestOffsetOverflowClamped(t *testing.T) {
+	ds, q := joinFixture()
+	for _, offset := range []int{math.MaxInt, math.MaxInt - 1, math.MaxInt64 - 100} {
+		q.Limit, q.Offset = 1, offset
+		q.plan.Store(nil)
+		res, err := Eval(ds, q)
+		if err != nil {
+			t.Fatalf("offset=%d: %v", offset, err)
+		}
+		if res.Len() != 0 {
+			t.Fatalf("offset=%d: got %d rows, want empty page", offset, res.Len())
+		}
+	}
+	// The boundary that still fits must keep working as a normal page.
+	q.Limit, q.Offset = 1, 8999
+	q.plan.Store(nil)
+	res, err := Eval(ds, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 1 {
+		t.Fatalf("offset=8999 limit=1: got %d rows, want 1", res.Len())
 	}
 }

@@ -2,15 +2,15 @@ package sparql
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"mdm/internal/obs"
 )
 
 // Coverage for the EXPLAIN trace path: per-operator spans with rows and
-// timings for sequential and morsel-parallel plans, plan-summary
-// annotations, and the zero-wrapping guarantee when no trace rides the
-// evaluation.
+// timings, plan-summary annotations, and the zero-wrapping guarantee
+// when no trace rides the evaluation.
 
 func drainTraced(t *testing.T, q *Query, tr *obs.Trace) int64 {
 	t.Helper()
@@ -28,81 +28,76 @@ func drainTraced(t *testing.T, q *Query, tr *obs.Trace) int64 {
 	return cur.Rows()
 }
 
-// TestExplainParallelHashJoin pins the acceptance criterion: ?explain
-// detail on a parallel hash-join query yields per-operator stage
-// timings, a morsel-parallel span with its row counts, and the plan
-// stage duration.
+// TestExplainParallelHashJoin pins the EXPLAIN acceptance criterion on
+// the join fixture that used to plan a parallel hash join and now runs
+// the one sequential hash join: ?explain detail yields a plan summary
+// naming the hash join, the plan-cache annotation, a hash-join span
+// with its row counts, and the plan stage duration.
 func TestExplainParallelHashJoin(t *testing.T) {
-	withParMode(t, parForceOn, func() {
-		withParWorkers(t, 4, func() {
-			_, q := joinFixture()
-			tr := obs.NewTrace()
-			tr.Detail = true
-			rows := drainTraced(t, q, tr)
-			if rows == 0 {
-				t.Fatal("fixture drained zero rows")
-			}
-			rep := tr.Report()
-			if rep.Plan == "" {
-				t.Errorf("no plan summary recorded")
-			}
-			if got := rep.Attrs["plan_cache"]; got != "hit" && got != "miss" {
-				t.Errorf("plan_cache attr = %q", got)
-			}
-			var morsel *obs.OpReport
-			for i := range rep.Operators {
-				if rep.Operators[i].Op == "morsel-join" {
-					morsel = &rep.Operators[i]
-				}
-			}
-			if morsel == nil {
-				t.Fatalf("no morsel-join span under forced parallelism; operators: %+v", rep.Operators)
-			}
-			if morsel.RowsOut != rows {
-				t.Errorf("morsel-join rows_out = %d, want %d", morsel.RowsOut, rows)
-			}
-			if morsel.Calls < rows {
-				t.Errorf("morsel-join calls = %d, want >= %d", morsel.Calls, rows)
-			}
-			hasPlanStage := false
-			for _, s := range rep.Stages {
-				if s.Name == "plan" {
-					hasPlanStage = true
-				}
-			}
-			if !hasPlanStage {
-				t.Errorf("no plan stage in %+v", rep.Stages)
-			}
-		})
-	})
+	_, q := joinFixture()
+	tr := obs.NewTrace()
+	tr.Detail = true
+	rows := drainTraced(t, q, tr)
+	if rows == 0 {
+		t.Fatal("fixture drained zero rows")
+	}
+	rep := tr.Report()
+	if !strings.Contains(rep.Plan, "hash=") {
+		t.Errorf("plan summary %q names no hash join", rep.Plan)
+	}
+	if got := rep.Attrs["plan_cache"]; got != "hit" && got != "miss" {
+		t.Errorf("plan_cache attr = %q", got)
+	}
+	var join *obs.OpReport
+	for i := range rep.Operators {
+		if rep.Operators[i].Op == "hash-join" {
+			join = &rep.Operators[i]
+		}
+	}
+	if join == nil {
+		t.Fatalf("no hash-join span; operators: %+v", rep.Operators)
+	}
+	if join.RowsOut < rows {
+		t.Errorf("hash-join rows_out = %d, want >= %d", join.RowsOut, rows)
+	}
+	if join.Calls < join.RowsOut {
+		t.Errorf("hash-join calls = %d, want >= rows_out %d", join.Calls, join.RowsOut)
+	}
+	hasPlanStage := false
+	for _, s := range rep.Stages {
+		if s.Name == "plan" {
+			hasPlanStage = true
+		}
+	}
+	if !hasPlanStage {
+		t.Errorf("no plan stage in %+v", rep.Stages)
+	}
 }
 
 // TestExplainSequentialOperators: the nested/hash operator chain shows
 // up span-per-operator with rows_in linked from each span's source.
 func TestExplainSequentialOperators(t *testing.T) {
-	withParMode(t, parForceOff, func() {
-		_, q := joinFixture()
-		tr := obs.NewTrace()
-		tr.Detail = true
-		rows := drainTraced(t, q, tr)
-		rep := tr.Report()
-		if len(rep.Operators) < 2 {
-			t.Fatalf("expected an operator chain, got %+v", rep.Operators)
+	_, q := joinFixture()
+	tr := obs.NewTrace()
+	tr.Detail = true
+	rows := drainTraced(t, q, tr)
+	rep := tr.Report()
+	if len(rep.Operators) < 2 {
+		t.Fatalf("expected an operator chain, got %+v", rep.Operators)
+	}
+	last := rep.Operators[len(rep.Operators)-1]
+	if last.RowsOut != rows {
+		t.Errorf("outermost operator rows_out = %d, want %d", last.RowsOut, rows)
+	}
+	linked := false
+	for _, op := range rep.Operators {
+		if op.RowsIn > 0 {
+			linked = true
 		}
-		last := rep.Operators[len(rep.Operators)-1]
-		if last.RowsOut != rows {
-			t.Errorf("outermost operator rows_out = %d, want %d", last.RowsOut, rows)
-		}
-		linked := false
-		for _, op := range rep.Operators {
-			if op.RowsIn > 0 {
-				linked = true
-			}
-		}
-		if !linked {
-			t.Errorf("no operator recorded rows_in; spans not linked: %+v", rep.Operators)
-		}
-	})
+	}
+	if !linked {
+		t.Errorf("no operator recorded rows_in; spans not linked: %+v", rep.Operators)
+	}
 }
 
 // TestExplainOptionalAggregatesSpans: an OPTIONAL body instantiated per

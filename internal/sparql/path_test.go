@@ -24,7 +24,7 @@ func edgeGraph(edges [][2]string) *rdf.Dataset {
 // TestPathCycleSafety pins termination and oracle agreement for
 // closures over graphs where naive expansion would loop forever:
 // self-loops, 2-cycles, and cycles entangled with side branches. Each
-// query also runs through all three forced join strategies and the
+// query also runs through both forced join strategies and the
 // cursor API via checkEquivalence.
 func TestPathCycleSafety(t *testing.T) {
 	graphs := map[string][][2]string{

@@ -1,6 +1,7 @@
 package tdb
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"mdm/internal/obs"
 	"mdm/internal/rdf"
 	"mdm/internal/sparql"
 	"mdm/internal/tdb/segment"
@@ -301,38 +303,53 @@ func TestConcurrentQueriesDuringAppends(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A join fixture big enough that the planner's cost threshold picks
-	// the morsel-parallel hash join on its own (parCost >= 4096), so the
-	// parallel build/probe workers race real concurrent Dict interning.
-	for i := 0; i < 3000; i++ {
-		if err := s.AddTriple(rdf.T(ex(fmt.Sprintf("j%d", i)), ex("p1"), ex(fmt.Sprintf("m%d", i%50)))); err != nil {
+	// A join fixture shaped so the planner picks a hash join on its own:
+	// the 1050-row p2 scan runs first and probes the 2000-triple p1
+	// build side (build < rows × 3, see chooseJoin), so hash-table
+	// builds race real concurrent Dict interning.
+	for i := 0; i < 2000; i++ {
+		if err := s.AddTriple(rdf.T(ex(fmt.Sprintf("j%d", i)), ex("p1"), ex(fmt.Sprintf("m%d", i%1050)))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for k := 0; k < 50; k++ {
+	for k := 0; k < 1050; k++ {
 		if err := s.AddTriple(rdf.T(ex(fmt.Sprintf("m%d", k)), ex("p2"), rdf.IntLit(int64(k)))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sparql.SetParallelism(4)
-	defer sparql.SetParallelism(0)
 
 	ds := s.Dataset()
 	const query = `SELECT ?s ?o WHERE { ?s <http://ex/p> ?o . FILTER (?o >= 0) }`
 	const graphQuery = `SELECT ?g ?s WHERE { GRAPH ?g { ?s <http://ex/p> ?o } }`
 	const joinQuery = `SELECT ?a ?c WHERE { ?a <http://ex/p1> ?b . ?b <http://ex/p2> ?c }`
+	// runJoin drains joinQuery and fails unless its plan summary shows a
+	// hash join, so the race cannot silently fall back to nested loops.
+	runJoin := func() (int64, error) {
+		tr := obs.NewTrace()
+		cur, err := sparql.EvalCursorTrace(ds, sparql.MustParse(joinQuery), tr)
+		if err != nil {
+			return 0, err
+		}
+		defer cur.Close()
+		if plan := tr.Plan(); !strings.Contains(plan, "hash=") {
+			return 0, fmt.Errorf("join plan %q has no hash join", plan)
+		}
+		for cur.Next(context.Background()) {
+		}
+		return cur.Rows(), cur.Err()
+	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var qerr atomic.Value
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
-		q := query
+		run := func() error { _, err := sparql.Run(ds, query); return err }
 		switch w % 3 {
 		case 1:
-			q = graphQuery
+			run = func() error { _, err := sparql.Run(ds, graphQuery); return err }
 		case 2:
-			q = joinQuery
+			run = func() error { _, err := runJoin(); return err }
 		}
 		go func() {
 			defer wg.Done()
@@ -342,7 +359,7 @@ func TestConcurrentQueriesDuringAppends(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := sparql.Run(ds, q); err != nil {
+				if err := run(); err != nil {
 					qerr.Store(err)
 					return
 				}
@@ -371,11 +388,11 @@ func TestConcurrentQueriesDuringAppends(t *testing.T) {
 	if want := 20 + 100; res.Len() != want { // 150 appends, every 3rd into a named graph
 		t.Fatalf("rows after appends = %d, want %d", res.Len(), want)
 	}
-	res, err = sparql.Run(ds, joinQuery)
+	rows, err := runJoin()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 3000 {
-		t.Fatalf("parallel join rows = %d, want 3000", res.Len())
+	if rows != 2000 {
+		t.Fatalf("hash join rows = %d, want 2000", rows)
 	}
 }
