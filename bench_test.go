@@ -21,6 +21,7 @@ import (
 	"mdm/internal/rewrite/gav"
 	"mdm/internal/schema"
 	"mdm/internal/sparql"
+	"mdm/internal/tdb"
 	"mdm/internal/usecase"
 	"mdm/internal/wrapper"
 )
@@ -630,4 +631,60 @@ func BenchmarkWalkFederation(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkFacadeWrite prices one governance step through a persistent
+// system — declare a source, release a wrapper for it, define the
+// wrapper's mapping: three facade calls, three WAL records — at each
+// WAL fsync mode.
+func BenchmarkFacadeWrite(b *testing.B) {
+	for _, mode := range []struct {
+		name string
+		sync tdb.SyncMode
+	}{{"none", tdb.SyncNone}, {"batch", tdb.SyncBatch}, {"always", tdb.SyncAlways}} {
+		b.Run(mode.name, func(b *testing.B) {
+			sys, err := mdm.OpenWith(b.TempDir(), mdm.StoreOptions{Sync: mode.sync})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sys.Close()
+			for _, err := range []error{
+				sys.BindPrefix("ex", "http://ex.org/"),
+				sys.AddConcept("ex:Player", "Player"),
+				sys.AddFeature("ex:playerId", "playerId"),
+				sys.AddFeature("ex:playerName", "playerName"),
+				sys.AttachFeature("ex:Player", "ex:playerId"),
+				sys.AttachFeature("ex:Player", "ex:playerName"),
+				sys.MarkIdentifier("ex:playerId"),
+			} {
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			sub := []mdm.Triple{
+				mdm.T(sys.IRI("ex:Player"), sys.IRI("rdf:type"), sys.IRI("G:Concept")),
+				mdm.T(sys.IRI("ex:Player"), sys.IRI("G:hasFeature"), sys.IRI("ex:playerId")),
+				mdm.T(sys.IRI("ex:Player"), sys.IRI("G:hasFeature"), sys.IRI("ex:playerName")),
+			}
+			docs := []schema.Doc{{"id": relalg.Int(1), "pName": relalg.String("A")}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src, name := fmt.Sprintf("src-%d", i), fmt.Sprintf("w-%d", i)
+				if err := sys.AddSource(src, src); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sys.RegisterWrapper(wrapper.NewMem(name, src, docs, nil)); err != nil {
+					b.Fatal(err)
+				}
+				if err := sys.DefineMapping(mdm.Mapping{
+					Wrapper:  name,
+					Subgraph: sub,
+					SameAs:   map[string]mdm.Term{"id": sys.IRI("ex:playerId"), "pName": sys.IRI("ex:playerName")},
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

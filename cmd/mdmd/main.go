@@ -13,22 +13,22 @@
 //	     [-debug-addr ADDR]
 //
 //	-addr      listen address
-//	-data      persistence directory; the ontology dataset lives in a
-//	           segment store under DIR/ontology (WAL tail + immutable
-//	           segments; see docs/STORAGE.md). A DIR/ontology.trig file
-//	           from an older deployment is migrated on first start.
-//	-seed      preload the paper's football use case (in-memory wrappers;
-//	           the seeded system stays in-memory and, with -data, is
-//	           snapshotted as ontology.trig for migration on restart)
+//	-data      persistence directory: the whole system state (ontology,
+//	           release log, saved walks) lives in a segment store under
+//	           DIR/ontology, and every acknowledged mutation is in its
+//	           WAL (see docs/STORAGE.md). Wrappers are re-registered
+//	           after a restart.
+//	-seed      preload the paper's football use case (in-process
+//	           wrappers, in memory; cannot be combined with -data)
 //	-simulate  also start the simulated football REST provider and print
 //	           its URL (endpoints for players/teams/leagues/countries)
 //
 // Storage engine knobs (see internal/tdb and docs/STORAGE.md):
 //
-//	-fsync MODE           WAL durability: "none" (default; flush to the
-//	                      OS on every append, no fsync), "always" (fsync
-//	                      per append), or "batch" (background fsync every
-//	                      -fsync-interval)
+//	-fsync MODE           WAL durability: "batch" (default; background
+//	                      fsync every -fsync-interval), "always" (fsync
+//	                      per append), or "none" (flush to the OS on
+//	                      every append, no fsync)
 //	-fsync-interval D     batched fsync window for -fsync=batch
 //	                      (default 5ms)
 //	-compact-interval D   background storage maintenance tick: seals WAL
@@ -87,13 +87,13 @@ import (
 	"errors"
 	"expvar"
 	"flag"
+	"fmt"
 	"log"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -111,7 +111,7 @@ func main() {
 	dataDir := flag.String("data", "", "persistence directory (empty = in-memory)")
 	seed := flag.Bool("seed", false, "preload the football demo fixture")
 	simulate := flag.Bool("simulate", false, "start the simulated football provider")
-	fsyncMode := flag.String("fsync", "none", `WAL fsync mode: "none", "always" or "batch"`)
+	fsyncMode := flag.String("fsync", "batch", `WAL fsync mode: "batch", "always" or "none"`)
 	fsyncInterval := flag.Duration("fsync-interval", 5*time.Millisecond, "batched fsync window (-fsync=batch)")
 	compactInterval := flag.Duration("compact-interval", time.Minute, "background storage maintenance tick (0 = disabled)")
 	compactWALThreshold := flag.Int("compact-wal-threshold", 4096, "WAL records that trigger a background checkpoint")
@@ -128,6 +128,11 @@ func main() {
 	slowLogPath := flag.String("slow-query-log", "", "slow-query log file, size-rotated (empty = stderr)")
 	debugAddr := flag.String("debug-addr", "", "separate listener for net/http/pprof (empty = disabled)")
 	flag.Parse()
+	if *seed && *dataDir != "" {
+		fmt.Fprintln(os.Stderr, "mdmd: -seed and -data cannot be combined: the seeded fixture runs in memory")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	storeOpts := mdm.StoreOptions{
 		SyncInterval:        *fsyncInterval,
@@ -211,37 +216,11 @@ func main() {
 	}
 	log.Printf("mdmd: listening on %s (seeded=%v, data=%q)", *addr, *seed, *dataDir)
 
-	// Storage-backed systems (-data without -seed) persist through the
-	// segment store's WAL and background compactor; the legacy TriG
-	// snapshot ticker only serves the in-memory seeded fixture.
-	if *dataDir != "" && sys.Storage() == nil {
-		go func() {
-			t := time.NewTicker(30 * time.Second)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					if err := persist(sys, *dataDir); err != nil {
-						log.Printf("mdmd: snapshot: %v", err)
-					}
-				}
-			}
-		}()
-	}
-
 	if err := serveWithDrain(ctx, srv, ln, *drainTimeout); err != nil {
 		log.Fatalf("mdmd: serve: %v", err)
 	}
-	if sys.Storage() != nil {
-		if err := sys.Close(); err != nil {
-			log.Printf("mdmd: close: %v", err)
-		}
-	} else if *dataDir != "" {
-		if err := persist(sys, *dataDir); err != nil {
-			log.Printf("mdmd: final snapshot: %v", err)
-		}
+	if err := sys.Close(); err != nil {
+		log.Printf("mdmd: close: %v", err)
 	}
 }
 
@@ -272,10 +251,9 @@ func serveWithDrain(ctx context.Context, srv *http.Server, ln net.Listener, drai
 	return nil
 }
 
-// buildSystem assembles the system. A data directory (without -seed)
-// opens the persistent segment store, migrating a legacy ontology.trig
-// snapshot on first start. The seeded fixture stays in-memory: its
-// wrappers are live closures that cannot be persisted.
+// buildSystem assembles the system: the in-memory seeded fixture (its
+// wrappers are live closures that cannot be persisted), the persistent
+// system in a data directory, or an empty in-memory system.
 func buildSystem(dataDir string, seed bool, opts mdm.StoreOptions) (*mdm.System, error) {
 	if seed {
 		f, err := usecase.New()
@@ -295,15 +273,4 @@ func buildSystem(dataDir string, seed bool, opts mdm.StoreOptions) (*mdm.System,
 		return sys, nil
 	}
 	return mdm.New(), nil
-}
-
-func persist(sys *mdm.System, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp := filepath.Join(dir, "ontology.trig.tmp")
-	if err := os.WriteFile(tmp, []byte(sys.ExportTriG()), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, "ontology.trig"))
 }

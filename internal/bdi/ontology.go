@@ -13,7 +13,14 @@
 //   - each LAV MAPPING is a named graph whose name is the wrapper IRI,
 //     containing (a) the subgraph of the global graph the wrapper
 //     populates and (b) owl:sameAs links from the wrapper's attributes
-//     to global features.
+//     to global features;
+//   - the SYSTEM GRAPH (named graph SystemGraphName) holds system
+//     metadata records — the release log, saved walks — in a vocabulary
+//     of its own (NSSystem), so no global, source or mapping query
+//     ever matches them.
+//
+// Every write goes through the ontology's Backend as one Apply batch:
+// on a *tdb.Store that is one WAL record per operation.
 //
 // Features that are rdfs:subClassOf sc:identifier (schema.org) identify
 // their concept; inter-concept joins during query rewriting are only
@@ -27,17 +34,19 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"mdm/internal/rdf"
 	"mdm/internal/schema"
+	"mdm/internal/tdb"
 )
 
-// Namespace IRIs of the BDI metamodel.
+// Namespace IRIs of the BDI metamodel, and of the system records kept
+// beside it.
 const (
 	NSGlobal = "http://www.essi.upc.edu/~snadal/BDIOntology/Global/"
 	NSSource = "http://www.essi.upc.edu/~snadal/BDIOntology/Source/"
 	NSSchema = "http://schema.org/"
+	NSSystem = "urn:mdm:system:"
 )
 
 // Metamodel IRIs.
@@ -65,6 +74,8 @@ var (
 	GlobalGraphName = rdf.IRI(NSGlobal + "graph")
 	// SourceGraphName names the source graph inside the dataset.
 	SourceGraphName = rdf.IRI(NSSource + "graph")
+	// SystemGraphName names the system graph inside the dataset.
+	SystemGraphName = rdf.IRI(NSSystem + "graph")
 )
 
 // Sentinel errors for integrity-constraint violations.
@@ -88,54 +99,93 @@ var (
 	ErrAttrNotInWrapper = errors.New("bdi: attribute does not belong to wrapper")
 )
 
-// Ontology is a thread-safe BDI ontology over an RDF dataset. The
-// dataset reference is an atomic pointer: readers resolve it without a
-// lock, and Rebind swaps in a replacement dataset (the tdb compactor's
-// epoch hand-over) while o.mu blocks every mutator.
-type Ontology struct {
-	mu sync.RWMutex
-	ds atomic.Pointer[rdf.Dataset]
+// Backend is where an ontology's dataset lives: Dataset serves reads
+// and Apply commits the ops of one ontology operation as a unit.
+// *tdb.Store is the persistent backend (one WAL record per Apply);
+// FromDataset wraps a plain in-memory dataset.
+type Backend interface {
+	Dataset() *rdf.Dataset
+	Apply(ops ...tdb.Op) error
 }
 
-// New creates an empty ontology with the BDI prefixes bound.
+// memBackend is the Backend of an in-memory ontology.
+type memBackend struct{ ds *rdf.Dataset }
+
+func (m memBackend) Dataset() *rdf.Dataset { return m.ds }
+
+func (m memBackend) Apply(ops ...tdb.Op) error { return tdb.ApplyOps(m.ds, ops...) }
+
+// Ontology is a thread-safe BDI ontology over an RDF dataset. o.mu
+// serializes writers (each validates, then applies one batch) against
+// readers; the dataset itself is resolved from the backend on every
+// access, so a storage compaction that swaps it is picked up at once.
+type Ontology struct {
+	mu sync.RWMutex
+	be Backend
+}
+
+// New creates an empty in-memory ontology with the BDI prefixes bound.
 func New() *Ontology {
 	return FromDataset(rdf.NewDataset())
 }
 
-// FromDataset wraps an existing dataset (e.g. loaded from tdb) as an
-// ontology, binding the BDI prefixes if absent.
+// FromDataset wraps an existing in-memory dataset as an ontology,
+// binding the BDI prefixes.
 func FromDataset(ds *rdf.Dataset) *Ontology {
-	pm := ds.Prefixes()
-	pm.Bind("G", NSGlobal)
-	pm.Bind("S", NSSource)
-	pm.Bind("sc", NSSchema)
-	o := &Ontology{}
-	o.ds.Store(ds)
+	o, _ := FromBackend(memBackend{ds}) // prefix ops are always valid
 	return o
 }
 
-// Dataset exposes the underlying dataset (read-mostly; mutate through
-// Ontology methods so constraints hold). The reference is only stable
-// until the storage layer compacts; callers that stream results across
-// other operations should pin a storage snapshot instead (see mdm).
-func (o *Ontology) Dataset() *rdf.Dataset { return o.ds.Load() }
+// FromBackend opens an ontology over a backend (e.g. a tdb.Store),
+// binding the BDI prefixes through it where they are not bound yet.
+func FromBackend(be Backend) (*Ontology, error) {
+	pm := be.Dataset().Prefixes()
+	var ops []tdb.Op
+	for _, p := range [][2]string{{"G", NSGlobal}, {"S", NSSource}, {"sc", NSSchema}} {
+		if ns, ok := pm.Expand(p[0] + ":"); !ok || ns != p[1] {
+			ops = append(ops, tdb.Op{Kind: tdb.OpPrefix, Prefix: p[0], NS: p[1]})
+		}
+	}
+	if err := be.Apply(ops...); err != nil {
+		return nil, err
+	}
+	return &Ontology{be: be}, nil
+}
+
+// Dataset exposes the underlying dataset for reads; mutate through
+// Ontology methods so constraints hold and writes reach the backend.
+// The reference is only stable until the storage layer compacts;
+// callers that stream results across other operations should pin a
+// storage snapshot instead (see mdm).
+func (o *Ontology) Dataset() *rdf.Dataset { return o.be.Dataset() }
 
 // dset is the internal accessor mirroring Dataset.
-func (o *Ontology) dset() *rdf.Dataset { return o.ds.Load() }
+func (o *Ontology) dset() *rdf.Dataset { return o.be.Dataset() }
 
-// Rebind runs swap with every ontology mutator quiesced (o.mu held
-// exclusively) and re-points the ontology at the dataset swap returns.
-// A nil result (the storage layer failed to seal the replacement)
-// leaves the current dataset in place. This is the tdb compactor's
-// quiescence window: between swap's snapshot of the old dataset and the
-// atomic re-point, no writer can mutate through the ontology, so the
-// swapped-in dataset misses nothing.
-func (o *Ontology) Rebind(swap func(old *rdf.Dataset) *rdf.Dataset) {
+// add builds the ops adding ts to graph g.
+func add(g rdf.Term, ts ...rdf.Triple) []tdb.Op {
+	ops := make([]tdb.Op, len(ts))
+	for i, t := range ts {
+		ops[i] = tdb.Op{Kind: tdb.OpAdd, Quad: rdf.Quad{Triple: t, Graph: g}}
+	}
+	return ops
+}
+
+// labeled returns the typing triple of iri plus, when label is set,
+// its rdfs:label.
+func labeled(iri, class rdf.Term, label string) []rdf.Triple {
+	ts := []rdf.Triple{rdf.T(iri, rdf.IRI(rdf.RDFType), class)}
+	if label != "" {
+		ts = append(ts, rdf.T(iri, rdf.IRI(rdf.RDFSLabel), rdf.Lit(label)))
+	}
+	return ts
+}
+
+// BindPrefix registers a namespace prefix for CURIE expansion.
+func (o *Ontology) BindPrefix(prefix, namespace string) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if next := swap(o.ds.Load()); next != nil {
-		o.ds.Store(next)
-	}
+	return o.be.Apply(tdb.Op{Kind: tdb.OpPrefix, Prefix: prefix, NS: namespace})
 }
 
 // Global returns the global graph.
@@ -143,6 +193,28 @@ func (o *Ontology) Global() *rdf.Graph { return o.dset().Graph(GlobalGraphName) 
 
 // Source returns the source graph.
 func (o *Ontology) Source() *rdf.Graph { return o.dset().Graph(SourceGraphName) }
+
+// System returns the system graph, or an empty graph when no record was
+// ever written (reading does not create it).
+func (o *Ontology) System() *rdf.Graph {
+	if g, ok := o.dset().Lookup(SystemGraphName); ok {
+		return g
+	}
+	return rdf.NewGraph()
+}
+
+// PutRecord replaces the system-graph record of subject — every triple
+// with that subject — by ts, as one write, so concurrent puts of one
+// subject leave exactly one of them.
+func (o *Ontology) PutRecord(subject rdf.Term, ts []rdf.Triple) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	var ops []tdb.Op
+	for _, t := range o.System().Match(subject, rdf.Any, rdf.Any) {
+		ops = append(ops, tdb.Op{Kind: tdb.OpRemove, Quad: rdf.Quad{Triple: t, Graph: SystemGraphName}})
+	}
+	return o.be.Apply(append(ops, add(SystemGraphName, ts...)...)...)
+}
 
 // --- IRI builders ---
 
@@ -172,12 +244,7 @@ func (o *Ontology) AddConcept(iri rdf.Term, label string) error {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	g := o.Global()
-	g.MustAdd(rdf.T(iri, rdf.IRI(rdf.RDFType), ClassConcept))
-	if label != "" {
-		g.MustAdd(rdf.T(iri, rdf.IRI(rdf.RDFSLabel), rdf.Lit(label)))
-	}
-	return nil
+	return o.be.Apply(add(GlobalGraphName, labeled(iri, ClassConcept, label)...)...)
 }
 
 // AddFeature declares a feature with an optional label. The feature is
@@ -188,12 +255,7 @@ func (o *Ontology) AddFeature(iri rdf.Term, label string) error {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	g := o.Global()
-	g.MustAdd(rdf.T(iri, rdf.IRI(rdf.RDFType), ClassFeature))
-	if label != "" {
-		g.MustAdd(rdf.T(iri, rdf.IRI(rdf.RDFSLabel), rdf.Lit(label)))
-	}
-	return nil
+	return o.be.Apply(add(GlobalGraphName, labeled(iri, ClassFeature, label)...)...)
 }
 
 // AttachFeature links a feature to a concept, enforcing that a feature
@@ -219,8 +281,7 @@ func (o *Ontology) AttachFeature(concept, feature rdf.Term) error {
 	if !owner.IsZero() {
 		return fmt.Errorf("%w: %s owned by %s", ErrFeatureOwned, feature, owner)
 	}
-	g.MustAdd(rdf.T(concept, PropHasFeature, feature))
-	return nil
+	return o.be.Apply(add(GlobalGraphName, rdf.T(concept, PropHasFeature, feature))...)
 }
 
 // RelateConcepts adds a user-defined property edge between two concepts.
@@ -233,8 +294,7 @@ func (o *Ontology) RelateConcepts(from, prop, to rdf.Term) error {
 			return fmt.Errorf("%w: %s", ErrUnknownConcept, c)
 		}
 	}
-	g.MustAdd(rdf.T(from, prop, to))
-	return nil
+	return o.be.Apply(add(GlobalGraphName, rdf.T(from, prop, to))...)
 }
 
 // AddSubClass records sub rdfs:subClassOf super in the global graph
@@ -242,8 +302,7 @@ func (o *Ontology) RelateConcepts(from, prop, to rdf.Term) error {
 func (o *Ontology) AddSubClass(sub, super rdf.Term) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.Global().MustAdd(rdf.T(sub, rdf.IRI(rdf.RDFSSubClassOf), super))
-	return nil
+	return o.be.Apply(add(GlobalGraphName, rdf.T(sub, rdf.IRI(rdf.RDFSSubClassOf), super))...)
 }
 
 // MarkIdentifier declares a feature to be (a subclass of) sc:identifier,
@@ -255,8 +314,7 @@ func (o *Ontology) MarkIdentifier(feature rdf.Term) error {
 	if !g.Has(rdf.T(feature, rdf.IRI(rdf.RDFType), ClassFeature)) {
 		return fmt.Errorf("%w: %s", ErrUnknownFeature, feature)
 	}
-	g.MustAdd(rdf.T(feature, rdf.IRI(rdf.RDFSSubClassOf), Identifier))
-	return nil
+	return o.be.Apply(add(GlobalGraphName, rdf.T(feature, rdf.IRI(rdf.RDFSSubClassOf), Identifier))...)
 }
 
 // --- Global graph accessors ---
@@ -386,39 +444,31 @@ func (o *Ontology) AddDataSource(sourceID, label string) error {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	g := o.Source()
-	s := SourceIRI(sourceID)
-	g.MustAdd(rdf.T(s, rdf.IRI(rdf.RDFType), ClassDataSource))
-	if label != "" {
-		g.MustAdd(rdf.T(s, rdf.IRI(rdf.RDFSLabel), rdf.Lit(label)))
-	}
-	return nil
+	return o.be.Apply(add(SourceGraphName, labeled(SourceIRI(sourceID), ClassDataSource, label)...)...)
 }
 
 // RegisterWrapper records a wrapper and its signature in the source
 // graph. Attribute nodes are reused across wrappers of the same data
 // source when names coincide (paper §2.2: "MDM will try to reuse as many
 // attributes as possible from the previous wrappers for that data
-// source"), and are never shared across sources.
-func (o *Ontology) RegisterWrapper(sourceID string, sig schema.Signature) error {
+// source"), and are never shared across sources. The record triples,
+// if any, go to the system graph in the same write (the release
+// manager's log entry).
+func (o *Ontology) RegisterWrapper(sourceID string, sig schema.Signature, record ...rdf.Triple) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	g := o.Source()
 	s := SourceIRI(sourceID)
-	if !g.Has(rdf.T(s, rdf.IRI(rdf.RDFType), ClassDataSource)) {
+	if !o.Source().Has(rdf.T(s, rdf.IRI(rdf.RDFType), ClassDataSource)) {
 		return fmt.Errorf("%w: %s", ErrUnknownSource, sourceID)
 	}
 	w := WrapperIRI(sig.Wrapper)
-	g.MustAdd(rdf.T(w, rdf.IRI(rdf.RDFType), ClassWrapper))
-	g.MustAdd(rdf.T(w, rdf.IRI(rdf.RDFSLabel), rdf.Lit(sig.Wrapper)))
-	g.MustAdd(rdf.T(s, PropHasWrapper, w))
+	ts := append(labeled(w, ClassWrapper, sig.Wrapper), rdf.T(s, PropHasWrapper, w))
 	for _, a := range sig.Attributes {
 		at := AttributeIRI(sourceID, a.Name)
-		g.MustAdd(rdf.T(at, rdf.IRI(rdf.RDFType), ClassAttribute))
-		g.MustAdd(rdf.T(at, rdf.IRI(rdf.RDFSLabel), rdf.Lit(a.Name)))
-		g.MustAdd(rdf.T(w, PropHasAttribute, at))
+		ts = append(ts, labeled(at, ClassAttribute, a.Name)...)
+		ts = append(ts, rdf.T(w, PropHasAttribute, at))
 	}
-	return nil
+	return o.be.Apply(append(add(SourceGraphName, ts...), add(SystemGraphName, record...)...)...)
 }
 
 // Sources lists data source IRIs, sorted.
@@ -510,25 +560,20 @@ func (o *Ontology) DefineMapping(m Mapping) error {
 		}
 	}
 	for attr, feat := range m.SameAs {
-		aIRI, ok := attrs[attr]
-		if !ok {
+		if _, ok := attrs[attr]; !ok {
 			return fmt.Errorf("%w: %q not in %s", ErrAttrNotInWrapper, attr, m.Wrapper)
 		}
 		if !featInSub[feat] {
 			return fmt.Errorf("bdi: sameAs target %s is not a feature of the mapping subgraph", feat)
 		}
-		_ = aIRI
 	}
-	// All valid: (re)write the named graph.
-	o.dset().DropGraph(w)
-	ng := o.dset().Graph(w)
-	for _, t := range m.Subgraph {
-		ng.MustAdd(t)
-	}
+	// All valid: (re)write the named graph in one batch, so recovery
+	// never sees it dropped but not rewritten.
+	ops := append([]tdb.Op{{Kind: tdb.OpDrop, Quad: rdf.Quad{Graph: w}}}, add(w, m.Subgraph...)...)
 	for attr, feat := range m.SameAs {
-		ng.MustAdd(rdf.T(attrs[attr], rdf.IRI(rdf.OWLSameAs), feat))
+		ops = append(ops, add(w, rdf.T(attrs[attr], rdf.IRI(rdf.OWLSameAs), feat))...)
 	}
-	return nil
+	return o.be.Apply(ops...)
 }
 
 // MappingOf reconstructs the stored mapping of a wrapper.

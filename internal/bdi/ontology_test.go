@@ -8,6 +8,7 @@ import (
 	"mdm/internal/rdf"
 	"mdm/internal/relalg"
 	"mdm/internal/schema"
+	"mdm/internal/tdb"
 )
 
 const ex = "http://ex.org/"
@@ -23,14 +24,19 @@ func sig(w string, attrs ...string) schema.Signature {
 // miniFixture builds a Player/Team ontology close to Figures 5-7.
 func miniFixture(t *testing.T) *Ontology {
 	t.Helper()
-	o := New()
-	o.Dataset().Prefixes().Bind("ex", ex)
+	return fill(t, New())
+}
+
+// fill writes the miniFixture content into o.
+func fill(t *testing.T, o *Ontology) *Ontology {
+	t.Helper()
 	player := rdf.IRI(ex + "Player")
 	team := rdf.IRI(NSSchema + "SportsTeam")
 	pid, pname := rdf.IRI(ex+"playerId"), rdf.IRI(ex+"playerName")
 	tid, tname := rdf.IRI(ex+"teamId"), rdf.IRI(ex+"teamName")
 
 	for _, err := range []error{
+		o.BindPrefix("ex", ex),
 		o.AddConcept(player, "Player"),
 		o.AddConcept(team, "SportsTeam"),
 		o.AddFeature(pid, "playerId"),
@@ -530,33 +536,31 @@ func TestOntologyGraphsShareDictionary(t *testing.T) {
 	}
 }
 
+// TestRebindSwapsDatasetUnderQuiescence: an ontology over a tdb.Store
+// resolves its dataset from the store on every access, so the epoch swap
+// of a compaction re-points it without any hook: reads and writes after
+// the swap use the compacted dataset, and the retired one stays frozen.
 func TestRebindSwapsDatasetUnderQuiescence(t *testing.T) {
-	o := miniFixture(t)
-	old := o.Dataset()
-	next := old.Clone()
-
-	// A successful swap re-points every accessor at the new dataset and
-	// hands the swap function the dataset that was live at call time.
-	var got *rdf.Dataset
-	o.Rebind(func(cur *rdf.Dataset) *rdf.Dataset {
-		got = cur
-		return next
-	})
-	if got != old {
-		t.Fatal("swap did not receive the live dataset")
+	ts, err := tdb.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if o.Dataset() != next {
-		t.Fatal("ontology not re-pointed at the swapped-in dataset")
+	defer ts.Close()
+	be, err := FromBackend(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := fill(t, be)
+	old := o.Dataset()
+	if err := ts.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if o.Dataset() == old || o.Dataset() != ts.Dataset() {
+		t.Fatal("ontology not re-pointed at the compacted dataset")
 	}
 	// Facade reads flow through the new dataset.
 	if o.Stats().Concepts != 2 {
 		t.Fatalf("stats after swap = %+v", o.Stats())
-	}
-
-	// A nil swap result (seal failure) leaves the current dataset alone.
-	o.Rebind(func(cur *rdf.Dataset) *rdf.Dataset { return nil })
-	if o.Dataset() != next {
-		t.Fatal("failed swap must not re-point the ontology")
 	}
 
 	// Mutations after the swap land in the new dataset, not the old one.
@@ -566,7 +570,7 @@ func TestRebindSwapsDatasetUnderQuiescence(t *testing.T) {
 	if o.Stats().Concepts != 3 {
 		t.Fatalf("concepts after post-swap add = %d", o.Stats().Concepts)
 	}
-	if old.Len() == next.Len() {
+	if old.Len() == ts.Dataset().Len() {
 		t.Fatal("post-swap mutation leaked into the retired dataset")
 	}
 }

@@ -4,15 +4,18 @@
 // the system. The package detects schema changes between wrapper
 // versions (added / removed / renamed attributes, type changes),
 // classifies releases as breaking or non-breaking, maintains the release
-// log, and can probe live wrappers for schema drift the provider shipped
-// without notice.
+// log (persisted in the ontology's system graph), and can probe live
+// wrappers for schema drift the provider shipped without notice.
 package release
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"mdm/internal/bdi"
@@ -229,27 +232,60 @@ func (r Release) Summary() string {
 	return sb.String()
 }
 
+// The release log lives in the ontology's system graph, one triple per
+// release: <urn:mdm:system:release/SEQ> sys:release "<the Release as
+// JSON>". One literal per release keeps the log's share of the dataset
+// small; History and the REST API read the decoded log, not the graph.
+var relRecord = rdf.IRI(bdi.NSSystem + "release")
+
+// triple encodes the release as its system-graph record.
+func (r Release) triple() rdf.Triple {
+	b, _ := json.Marshal(r) // strings, ints, bools and a time: cannot fail
+	return rdf.T(rdf.IRI(bdi.NSSystem+"release/"+strconv.Itoa(r.Seq)), relRecord, rdf.Lit(string(b)))
+}
+
+// loadLog rebuilds the release log from the system graph, in Seq order.
+// The records were written by triple; one that does not decode (a
+// corrupted store) is skipped rather than failing the whole log.
+func loadLog(g *rdf.Graph) []Release {
+	var log []Release
+	for _, t := range g.Match(rdf.Any, relRecord, rdf.Any) {
+		var r Release
+		if json.Unmarshal([]byte(t.O.Value), &r) == nil {
+			log = append(log, r)
+		}
+	}
+	sort.Slice(log, func(i, j int) bool { return log[i].Seq < log[j].Seq })
+	return log
+}
+
 // Manager orchestrates releases against the ontology and the wrapper
 // registry. It is the programmatic face of the "registration of new data
-// sources" interaction (paper §2.2).
+// sources" interaction (paper §2.2). It is safe for concurrent use.
 type Manager struct {
 	ont *bdi.Ontology
 	reg *wrapper.Registry
+	mu  sync.Mutex
 	log []Release
 	// Now is injectable for deterministic tests.
 	Now func() time.Time
 }
 
-// NewManager returns a release manager.
+// NewManager returns a release manager whose log is rebuilt from the
+// ontology's system graph, so a reopened system continues its history.
 func NewManager(ont *bdi.Ontology, reg *wrapper.Registry) *Manager {
-	return &Manager{ont: ont, reg: reg, Now: time.Now}
+	return &Manager{ont: ont, reg: reg, log: loadLog(ont.System()), Now: time.Now}
 }
 
 // Register performs a release: the wrapper is added to the registry and
 // the source graph, its schema is diffed against the source's previous
 // wrapper (attribute reuse happens inside the ontology), and the release
-// is logged. The caller defines the LAV mapping afterwards.
+// is logged — in the system graph, in the same ontology write as the
+// source-graph triples. The caller defines the LAV mapping afterwards.
+// Registrations are serialized, so Seqs are dense and unique.
 func (m *Manager) Register(w wrapper.Wrapper) (Release, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	prevWrappers := m.reg.BySource(w.SourceID())
 	rel := Release{
 		Seq:       len(m.log) + 1,
@@ -270,7 +306,7 @@ func (m *Manager) Register(w wrapper.Wrapper) (Release, error) {
 	if err := m.reg.Register(w); err != nil {
 		return Release{}, err
 	}
-	if err := m.ont.RegisterWrapper(w.SourceID(), w.Signature()); err != nil {
+	if err := m.ont.RegisterWrapper(w.SourceID(), w.Signature(), rel.triple()); err != nil {
 		m.reg.Remove(w.Name())
 		return Release{}, err
 	}
@@ -280,11 +316,15 @@ func (m *Manager) Register(w wrapper.Wrapper) (Release, error) {
 
 // Log returns the full release log (copy).
 func (m *Manager) Log() []Release {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return append([]Release(nil), m.log...)
 }
 
 // History returns the releases of one source.
 func (m *Manager) History(sourceID string) []Release {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	var out []Release
 	for _, r := range m.log {
 		if r.SourceID == sourceID {

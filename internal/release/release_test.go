@@ -2,7 +2,10 @@ package release_test
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -267,5 +270,107 @@ func TestSuggestMapping(t *testing.T) {
 	// steward adds new features manually).
 	if err := f.Ont.DefineMapping(suggested); err != nil {
 		t.Fatalf("suggested mapping invalid: %v", err)
+	}
+}
+
+// TestManagerConcurrentRegisterSeqs: registrations racing each other and
+// concurrent Log readers still yield the dense Seqs 1..N, each once.
+func TestManagerConcurrentRegisterSeqs(t *testing.T) {
+	f := usecase.MustNew()
+	mgr := release.NewManager(f.Ont, f.Reg)
+	const n = 32
+	for i := 0; i < n; i++ {
+		if err := f.Ont.AddDataSource(fmt.Sprintf("src-%d", i), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i, rel := range mgr.Log() {
+					if rel.Seq != i+1 {
+						t.Errorf("Log()[%d].Seq = %d", i, rel.Seq)
+						return
+					}
+				}
+			}
+		}()
+	}
+	seqs := make([]int, n)
+	var writers sync.WaitGroup
+	for i := 0; i < n; i++ {
+		writers.Add(1)
+		go func(i int) {
+			defer writers.Done()
+			name := fmt.Sprintf("w-%d", i)
+			rel, err := mgr.Register(wrapper.NewMem(name, fmt.Sprintf("src-%d", i), nil, sig(name, "id#i").Attributes))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			seqs[i] = rel.Seq
+		}(i)
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	seen := map[int]bool{}
+	for i, seq := range seqs {
+		if seq < 1 || seq > n || seen[seq] {
+			t.Fatalf("registration %d got Seq %d (seen before: %v)", i, seq, seen[seq])
+		}
+		seen[seq] = true
+	}
+	if got := len(mgr.Log()); got != n {
+		t.Fatalf("log length = %d, want %d", got, n)
+	}
+}
+
+// TestManagerLogRebuiltFromOntology: a manager constructed over an
+// ontology that already holds release records (a reopened system)
+// continues the same log, field for field, and the next Seq after it.
+func TestManagerLogRebuiltFromOntology(t *testing.T) {
+	f := usecase.MustNew()
+	mgr := release.NewManager(f.Ont, f.Reg)
+	fixed := time.Date(2018, 3, 26, 10, 0, 0, 123, time.UTC)
+	mgr.Now = func() time.Time { return fixed }
+	if err := f.Ont.AddDataSource("weather-api", "Weather API"); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []*wrapper.Mem{
+		wrapper.NewMem("weather-v1", "weather-api", nil, sig("weather-v1", "id#i", "temp", "city").Attributes),
+		wrapper.NewMem("weather-v2", "weather-api", nil, sig("weather-v2", "id#i", "temperature", "town", "wind").Attributes),
+	} {
+		if _, err := mgr.Register(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := mgr.Log()
+	if len(want[1].Changes) == 0 {
+		t.Fatalf("second release has no changes: %+v", want[1])
+	}
+
+	again := release.NewManager(f.Ont, wrapper.NewRegistry())
+	if got := again.Log(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rebuilt log differs:\n got %+v\nwant %+v", got, want)
+	}
+	if got := again.History("weather-api"); len(got) != 2 {
+		t.Fatalf("rebuilt history = %+v", got)
+	}
+	rel, err := again.Register(wrapper.NewMem("weather-v3", "weather-api", nil, sig("weather-v3", "id#i").Attributes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel.Seq != 3 {
+		t.Fatalf("next Seq after rebuild = %d, want 3", rel.Seq)
 	}
 }

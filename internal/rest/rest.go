@@ -70,7 +70,6 @@ import (
 	"mdm/internal/obs"
 	"mdm/internal/schema"
 	"mdm/internal/sparql"
-	"mdm/internal/store"
 	"mdm/internal/wrapper"
 )
 
@@ -363,7 +362,10 @@ func (s *Server) handleAddPrefix(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	s.sys.BindPrefix(req.Prefix, req.Namespace)
+	if err := s.sys.BindPrefix(req.Prefix, req.Namespace); err != nil {
+		fail(w, http.StatusInternalServerError, err)
+		return
+	}
 	writeJSON(w, http.StatusCreated, map[string]string{"status": "ok"})
 }
 
@@ -860,12 +862,7 @@ func (s *Server) handleSaveWalk(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	if existing, ok := s.sys.Metadata().FindOne("walks", store.Doc{"name": req.Name}); ok {
-		if _, err := s.sys.Metadata().Update("walks", existing.ID(), store.Doc{"name": req.Name, "walk": string(blob)}); err != nil {
-			fail(w, http.StatusInternalServerError, err)
-			return
-		}
-	} else if _, err := s.sys.Metadata().Insert("walks", store.Doc{"name": req.Name, "walk": string(blob)}); err != nil {
+	if err := s.sys.SaveWalk(req.Name, string(blob)); err != nil {
 		fail(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -873,25 +870,18 @@ func (s *Server) handleSaveWalk(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleListWalks(w http.ResponseWriter, _ *http.Request) {
-	docs := s.sys.Metadata().Find("walks", nil)
-	names := make([]string, 0, len(docs))
-	for _, d := range docs {
-		if n, ok := d["name"].(string); ok {
-			names = append(names, n)
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"walks": names})
+	writeJSON(w, http.StatusOK, map[string]any{"walks": s.sys.SavedWalks()})
 }
 
 func (s *Server) handleRunWalk(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	doc, ok := s.sys.Metadata().FindOne("walks", store.Doc{"name": name})
+	def, ok := s.sys.SavedWalk(name)
 	if !ok {
 		fail(w, http.StatusNotFound, fmt.Errorf("rest: no saved walk %q", name))
 		return
 	}
 	var req walkReq
-	if err := json.Unmarshal([]byte(doc["walk"].(string)), &req); err != nil {
+	if err := json.Unmarshal([]byte(def), &req); err != nil {
 		fail(w, http.StatusInternalServerError, fmt.Errorf("rest: corrupt saved walk: %w", err))
 		return
 	}

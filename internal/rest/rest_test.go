@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -1178,5 +1179,60 @@ func TestAdminCompactEndpoint(t *testing.T) {
 	segs, err := filepath.Glob(filepath.Join(dir, "ontology", "seg-*.seg"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no sealed segments after compact: %v, %v", segs, err)
+	}
+}
+
+// TestConcurrentSaveWalkSameName: concurrent first saves of one walk
+// name store it once — the name is listed once and the walk runs. Many
+// names, each saved by several racing clients, widen the window for a
+// lookup-then-insert race.
+func TestConcurrentSaveWalkSameName(t *testing.T) {
+	c, provider := setupServer(t)
+	stewardSetup(t, c, provider)
+	const names, clients = 40, 8
+	start := make(chan struct{})
+	errs := make(chan error, names*clients)
+	var wg sync.WaitGroup
+	for i := 0; i < names; i++ {
+		body, err := json.Marshal(map[string]any{
+			"name": fmt.Sprintf("dup-%02d", i),
+			"select": []map[string]string{
+				{"concept": "sc:SportsTeam", "feature": "ex:teamName", "alias": "teamName"},
+				{"concept": "ex:Player", "feature": "ex:playerName", "alias": "playerName"},
+			},
+			"relations": [][3]string{{"ex:Player", "ex:playsIn", "sc:SportsTeam"}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < clients; j++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				resp, err := c.http.Post(c.base+"/api/walks", "application/json", bytes.NewReader(body))
+				if err != nil {
+					errs <- err
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusCreated {
+					errs <- fmt.Errorf("save status %d", resp.StatusCode)
+				}
+			}()
+		}
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	walks := c.do("GET", "/api/walks", nil, 200)["walks"].([]any)
+	if len(walks) != names {
+		t.Fatalf("%d walks listed, want %d: %v", len(walks), names, walks)
+	}
+	if r := c.do("POST", "/api/walks/dup-07/run", nil, 200); len(r["rows"].([]any)) != 5 {
+		t.Fatalf("run = %v", r)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"mdm/internal/rdf"
-	"mdm/internal/rdf/turtle"
 	"mdm/internal/tdb/segment"
 )
 
@@ -35,19 +34,15 @@ func benchHistory(n int) *rdf.Dataset {
 }
 
 // BenchmarkStoreOpen measures the cold-open cost of a 50k-record history
-// in the layouts the two engines leave on disk.
+// in two on-disk layouts.
 //
 //   - segment: sealed segment (binary dict + ID triples, loaded via the
 //     bulk-ID fast path) plus empty WAL tail — what the background
 //     checkpointer maintains, so this is the segment engine's steady
 //     state no matter how the process died.
-//   - legacy: a 50k-record JSON WAL and no snapshot. The legacy engine
-//     checkpointed only on an explicit Checkpoint/Close, so any restart
-//     that didn't come from a clean shutdown replays the entire
+//   - legacy: the same history as a 50k-record JSON WAL and no segment,
+//     i.e. a store that was never checkpointed and replays its entire
 //     history.
-//   - legacy-checkpointed: the legacy best case (clean shutdown wrote a
-//     TriG snapshot), which still re-parses the full text at every
-//     open.
 //
 // The segment/legacy gap is the point of the engine: open cost is
 // O(encoded live data + WAL tail), not O(history).
@@ -81,17 +76,11 @@ func BenchmarkStoreOpen(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	snapDir := b.TempDir()
-	if err := os.WriteFile(filepath.Join(snapDir, snapshotFile), []byte(turtle.WriteDataset(ds)), 0o644); err != nil {
-		b.Fatal(err)
-	}
-
 	for _, bc := range []struct {
 		name, dir string
 	}{
 		{"segment", segDir},
 		{"legacy", walDir},
-		{"legacy-checkpointed", snapDir},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -24,8 +24,7 @@ const maxDeltaSegments = 16
 
 // Checkpoint seals the current WAL tail into a new delta segment and
 // truncates the WAL: an O(tail) durability point, unlike Compact's
-// O(dataset) rewrite. A legacy (snapshot.trig) store is migrated with a
-// full Compact instead. A crash between publishing the manifest and
+// O(dataset) rewrite. A crash between publishing the manifest and
 // truncating the WAL replays the sealed ops on top of the segment at the
 // next open; every op is idempotent against its own effect, so the
 // recovered dataset is unchanged.
@@ -38,9 +37,6 @@ func (s *Store) Checkpoint() error {
 func (s *Store) checkpointLocked() error {
 	if s.closed {
 		return errors.New("tdb: store is closed")
-	}
-	if s.legacy {
-		return s.compactLocked()
 	}
 	if err := s.walBuf.Flush(); err != nil {
 		return fmt.Errorf("tdb: flush wal: %w", err)
@@ -72,7 +68,6 @@ func (s *Store) checkpointLocked() error {
 	if err := s.truncateWALLocked(); err != nil {
 		return err
 	}
-	s.lastSealed = fingerprint(s.cur.ds)
 	expCheckpoints.Add(1)
 	s.observeSegments()
 	return nil
@@ -83,13 +78,8 @@ func (s *Store) checkpointLocked() error {
 // publishes a one-segment manifest, truncates the WAL and installs the
 // compacted dataset as a new epoch. Readers holding a PinSnapshot keep
 // their pre-compaction view; everyone else sees the new epoch on their
-// next Dataset call. Legacy snapshot.trig stores are migrated to the
-// segment format here (the snapshot file is removed once the manifest is
-// durable).
-//
-// When a swap hook is registered (SetSwapHook), the epoch swap — and the
-// segment IO feeding it — runs inside the hook's quiescence window, so
-// writers that bypass the Store see an atomic dataset hand-over.
+// next Dataset call. Every writer goes through the store, so holding
+// s.mu is the whole quiescence window.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -101,22 +91,12 @@ func (s *Store) compactLocked() error {
 		return errors.New("tdb: store is closed")
 	}
 	defer timeObs(obsCompactDur)()
-	var cerr error
-	swap := func(old *rdf.Dataset) *rdf.Dataset {
-		compacted := old.CompactedClone()
-		if err := s.sealFullLocked(compacted); err != nil {
-			cerr = err
-			return nil // seal failed: stay on the old dataset
-		}
-		s.swapEpochLocked(compacted)
-		return compacted
+	compacted := s.cur.Load().ds.CompactedClone()
+	if err := s.sealFullLocked(compacted); err != nil {
+		return err // seal failed: stay on the old dataset
 	}
-	if s.swapHook != nil {
-		s.swapHook(swap)
-	} else {
-		swap(s.cur.ds)
-	}
-	return cerr
+	s.swapEpochLocked(compacted)
+	return nil
 }
 
 // sealFullLocked writes ds as a full segment, publishes the manifest and
@@ -137,13 +117,10 @@ func (s *Store) sealFullLocked(ds *rdf.Dataset) error {
 	// The manifest is the recovery point: everything below is cleanup
 	// that a crash can at worst leave for the next open to redo.
 	s.man = next
-	s.legacy = false
-	_ = os.Remove(filepath.Join(s.dir, snapshotFile))
 	if err := s.truncateWALLocked(); err != nil {
 		return err
 	}
 	next.Sweep(s.dir)
-	s.lastSealed = fingerprint(ds)
 	s.lastFullDict = ds.Dict().Len()
 	expCompactions.Add(1)
 	s.observeSegments()
@@ -192,9 +169,7 @@ func (s *Store) readWALOps() ([]segment.Op, error) {
 			if err := json.Unmarshal(rec, &w); err != nil {
 				return nil, fmt.Errorf("tdb: checkpoint: undecodable wal record: %w", err)
 			}
-			if op, ok := walOp(w); ok {
-				ops = append(ops, op)
-			}
+			ops = w.ops(ops)
 		}
 		if rerr == io.EOF {
 			return ops, nil
@@ -203,26 +178,6 @@ func (s *Store) readWALOps() ([]segment.Op, error) {
 			return nil, fmt.Errorf("tdb: read wal: %w", rerr)
 		}
 	}
-}
-
-func walOp(w walRecord) (segment.Op, bool) {
-	switch w.Op {
-	case "add":
-		if w.Quad != nil {
-			return segment.Op{Kind: segment.OpAdd, Quad: w.Quad.quad()}, true
-		}
-	case "remove":
-		if w.Quad != nil {
-			return segment.Op{Kind: segment.OpRemove, Quad: w.Quad.quad()}, true
-		}
-	case "drop":
-		if w.Graph != nil {
-			return segment.Op{Kind: segment.OpDrop, Quad: rdf.Quad{Graph: decTerm(*w.Graph)}}, true
-		}
-	case "prefix":
-		return segment.Op{Kind: segment.OpPrefix, Prefix: w.Prefix, NS: w.NS}, true
-	}
-	return segment.Op{}, false
 }
 
 // AutoCompact runs a full compaction if the WAL has reached threshold
@@ -239,11 +194,9 @@ func (s *Store) AutoCompact(threshold int) (bool, error) {
 // StartAutoCompact starts the background maintenance goroutine: every
 // interval it seals the WAL tail into a delta segment once it holds
 // walThreshold records, and escalates to a full compaction when the
-// dictionary has doubled since the last one, the delta chain has grown
-// past maxDeltaSegments, or the dataset changed without WAL traffic
-// (writes that bypassed the Store, e.g. the mdm facade mutating through
-// the ontology — only a full rewrite makes those durable). No-op if
-// maintenance is already running or the store is closed; Close stops it.
+// dictionary has doubled since the last one or the delta chain has grown
+// past maxDeltaSegments. No-op if maintenance is already running or the
+// store is closed; Close stops it.
 func (s *Store) StartAutoCompact(interval time.Duration, walThreshold int) {
 	s.mu.Lock()
 	if s.closed || s.bgStop != nil {
@@ -281,16 +234,13 @@ func (s *Store) maintain(walThreshold int) {
 	if s.closed {
 		return
 	}
-	fp := fingerprint(s.cur.ds)
+	dic := s.cur.Load().ds.Dict().Len()
 	segs := 0
 	if s.man != nil {
 		segs = len(s.man.Segments)
 	}
-	changed := fp != s.lastSealed
-	needFull := (s.legacy && (changed || s.walRecords > 0)) || // migrate legacy stores
-		(fp.dic >= 1024 && fp.dic >= 2*s.lastFullDict) || // dictionary doubled: GC dead terms
-		segs >= maxDeltaSegments || // fold the delta chain
-		(changed && s.walRecords == 0) // facade writes bypassed the WAL
+	needFull := (dic >= 1024 && dic >= 2*s.lastFullDict) || // dictionary doubled: GC dead terms
+		segs >= maxDeltaSegments // fold the delta chain
 
 	var err error
 	switch {

@@ -36,8 +36,9 @@ type Snapshot struct {
 func (s *Store) PinSnapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cur.pins++
-	return &Snapshot{s: s, e: s.cur}
+	e := s.cur.Load()
+	e.pins++
+	return &Snapshot{s: s, e: e}
 }
 
 // Dataset returns the pinned dataset.
@@ -54,7 +55,7 @@ func (p *Snapshot) Release() {
 		p.s.mu.Lock()
 		defer p.s.mu.Unlock()
 		p.e.pins--
-		if p.e != p.s.cur && p.e.pins == 0 {
+		if p.e != p.s.cur.Load() && p.e.pins == 0 {
 			delete(p.s.retired, p.e.seq)
 			expPinnedEpochs.Add(-1)
 		}
@@ -81,28 +82,11 @@ func (s *Store) RetiredEpochs() int {
 // epoch is retired; it is retained only if readers still pin it.
 // Caller holds s.mu.
 func (s *Store) swapEpochLocked(ds *rdf.Dataset) {
-	old := s.cur
+	old := s.cur.Load()
 	s.epochSeq++
-	s.cur = &epoch{seq: s.epochSeq, ds: ds}
+	s.cur.Store(&epoch{seq: s.epochSeq, ds: ds})
 	if old.pins > 0 {
 		s.retired[old.seq] = old
 		expPinnedEpochs.Add(1)
 	}
-}
-
-// SetSwapHook registers a quiescence window for compaction's epoch
-// swap. When set, Compact runs its dataset swap as hook(swap): the hook
-// must call swap(old) exactly once while it has externally blocked all
-// writers that mutate the dataset WITHOUT going through the Store (the
-// mdm facade writes through bdi.Ontology), and must re-point those
-// writers at the returned dataset before unblocking them. swap returns
-// nil when compaction failed; the hook must then leave its callers on
-// the old dataset.
-//
-// Set the hook before any concurrent use of the store (and before
-// StartAutoCompact); it cannot be changed afterwards.
-func (s *Store) SetSwapHook(hook func(swap func(old *rdf.Dataset) *rdf.Dataset)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.swapHook = hook
 }

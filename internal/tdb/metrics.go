@@ -45,7 +45,7 @@ func init() {
 }
 
 // observeSegments publishes the manifest's live segment count; nil
-// (legacy store, no manifest yet) counts as zero.
+// (a store that never sealed a segment) counts as zero.
 func (s *Store) observeSegments() {
 	n := 0
 	if s.man != nil {

@@ -228,45 +228,6 @@ func TestCheckpointCompactMixReopen(t *testing.T) {
 	}
 }
 
-func TestLegacySnapshotMigratesOnCompact(t *testing.T) {
-	dir := t.TempDir()
-	// Build a legacy (pre-segment) store layout by hand: a TriG snapshot
-	// and a JSON WAL tail, no MANIFEST.
-	ds := rdf.NewDataset()
-	ds.Prefixes().Bind("ex", "http://ex/")
-	ds.Default().MustAdd(rdf.T(ex("s"), ex("p"), rdf.Lit("snap")))
-	ds.Graph(ex("g")).MustAdd(rdf.T(ex("s"), ex("p"), rdf.Lit("named")))
-	if err := os.WriteFile(filepath.Join(dir, snapshotFile), []byte(turtle.WriteDataset(ds)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	wal := `{"op":"add","quad":[{"k":0,"v":"http://ex/s"},{"k":0,"v":"http://ex/p"},{"k":1,"v":"tail"}]}` + "\n"
-	if err := os.WriteFile(filepath.Join(dir, walFile), []byte(wal), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s := openT(t, dir)
-	if got := s.Dataset().Len(); got != 3 {
-		t.Fatalf("legacy store Len = %d, want 3", got)
-	}
-	want := trig(s)
-	// First compaction migrates to the segment format.
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	if man, err := segment.LoadManifest(dir); err != nil || man == nil {
-		t.Fatalf("no manifest after migrating compact: %v, %v", man, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); !os.IsNotExist(err) {
-		t.Fatalf("legacy snapshot survived migration: %v", err)
-	}
-	s2 := openT(t, dir)
-	defer s2.Close()
-	if got := trig(s2); got != want {
-		t.Fatalf("migrated store differs:\n%s\nwant:\n%s", got, want)
-	}
-}
-
 func TestRemoveMissingGraphDoesNotCreate(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
@@ -464,5 +425,103 @@ func TestConcurrentQueriesDuringCompaction(t *testing.T) {
 	}
 	if s.RetiredEpochs() != 0 {
 		t.Fatalf("RetiredEpochs leaked = %d", s.RetiredEpochs())
+	}
+}
+
+// TestApplyBatchIsOneRecord: a batch is one WAL record, replayed and
+// checkpointed op for op; ops that change nothing are not logged; an
+// invalid quad rejects the whole batch before anything is applied.
+func TestApplyBatchIsOneRecord(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir)
+	g := ex("g")
+	old := rdf.T(ex("s"), ex("p"), rdf.Lit("old"))
+	if err := s.AddQuad(rdf.Quad{Triple: old, Graph: g}); err != nil {
+		t.Fatal(err)
+	}
+	batch := []Op{
+		{Kind: OpDrop, Quad: rdf.Quad{Graph: g}},
+		{Kind: OpAdd, Quad: rdf.Quad{Triple: rdf.T(ex("s"), ex("p"), rdf.Lit("new")), Graph: g}},
+		{Kind: OpPrefix, Prefix: "ex", NS: "http://ex/"},
+		{Kind: OpRemove, Quad: rdf.Quad{Triple: old}}, // absent: not logged
+	}
+	if err := s.Apply(batch...); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.WALRecords(); got != 2 {
+		t.Fatalf("WALRecords after batch = %d, want 2", got)
+	}
+	if err := s.Apply(batch[1]); err != nil || s.WALRecords() != 2 {
+		t.Fatalf("no-op batch: err %v, WALRecords %d", err, s.WALRecords())
+	}
+	bad := []Op{
+		{Kind: OpAdd, Quad: rdf.Quad{Triple: rdf.T(ex("s"), ex("p"), rdf.Lit("x"))}},
+		{Kind: OpAdd, Quad: rdf.Quad{Triple: rdf.T(rdf.Lit("bad"), ex("p"), rdf.Lit("x"))}},
+	}
+	if err := s.Apply(bad...); err == nil {
+		t.Fatal("batch with an invalid quad accepted")
+	}
+	if s.Dataset().Default().Len() != 0 || s.WALRecords() != 2 {
+		t.Fatal("rejected batch was partly applied")
+	}
+	want := trig(s)
+	s.Close()
+
+	s2 := openT(t, dir)
+	if got := trig(s2); got != want {
+		t.Fatalf("replayed batch differs:\n%s\nwant:\n%s", got, want)
+	}
+	if err := s2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	s3 := openT(t, dir)
+	defer s3.Close()
+	if got := trig(s3); got != want {
+		t.Fatalf("checkpointed batch differs:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestTornBatchDroppedWhole: a crash mid-append of a batch loses the
+// whole batch — never a prefix of its ops — and keeps earlier records.
+func TestTornBatchDroppedWhole(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir)
+	g := ex("mapping")
+	if err := s.Apply(
+		Op{Kind: OpAdd, Quad: rdf.Quad{Triple: rdf.T(ex("a"), ex("p"), rdf.Lit("1")), Graph: g}},
+		Op{Kind: OpAdd, Quad: rdf.Quad{Triple: rdf.T(ex("b"), ex("p"), rdf.Lit("2")), Graph: g}},
+	); err != nil {
+		t.Fatal(err)
+	}
+	want := trig(s)
+	path := filepath.Join(dir, walFile)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite the mapping: drop + re-add in one batch, then tear its
+	// record just before the end, as a crash mid-append would.
+	if err := s.Apply(
+		Op{Kind: OpDrop, Quad: rdf.Quad{Graph: g}},
+		Op{Kind: OpAdd, Quad: rdf.Quad{Triple: rdf.T(ex("c"), ex("p"), rdf.Lit("3")), Graph: g}},
+	); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	full, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, full.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+	s2 := openT(t, dir)
+	defer s2.Close()
+	if got := trig(s2); got != want {
+		t.Fatalf("torn batch partly replayed:\n%s\nwant:\n%s", got, want)
+	}
+	if after, err := os.Stat(path); err != nil || after.Size() != fi.Size() {
+		t.Fatalf("torn batch not trimmed: size %v, want %d", after.Size(), fi.Size())
 	}
 }

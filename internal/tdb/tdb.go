@@ -7,7 +7,8 @@
 //   - MANIFEST lists the live, immutable on-disk segments (see the
 //     segment subpackage: a dict block of interned terms plus ID-triple
 //     blocks per graph, checksummed) in apply order;
-//   - wal.jsonl holds one JSON record per mutation since the last seal.
+//   - wal.jsonl holds one JSON record per Apply batch since the last
+//     seal.
 //
 // Open loads the manifest's segments (binary decode straight into the
 // dataset dictionary and ID indexes — no Turtle parsing) and then
@@ -21,8 +22,9 @@
 // temp-file + rename, so a crash mid-seal leaves the previous manifest
 // + WAL recovery point intact.
 //
-// Legacy stores (a snapshot.trig TriG snapshot instead of a manifest)
-// still open; the first Compact migrates them to the segment format.
+// Apply commits a batch of mutations (one facade operation of the mdm
+// package) as ONE WAL record, so recovery replays all of the batch or
+// none of it; the single-quad methods are one-op batches.
 //
 // # Durability
 //
@@ -48,18 +50,14 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mdm/internal/rdf"
-	"mdm/internal/rdf/turtle"
 	"mdm/internal/tdb/segment"
 )
 
-const (
-	// snapshotFile is the legacy (pre-segment) full-snapshot file name.
-	snapshotFile = "snapshot.trig"
-	walFile      = "wal.jsonl"
-)
+const walFile = "wal.jsonl"
 
 // Package-wide expvar counters (cumulative across stores in a process),
 // served by mdmd at GET /debug/vars.
@@ -119,16 +117,16 @@ type Store struct {
 	dir  string
 	opts Options
 
-	// cur is the live epoch; retired holds epochs replaced by a
-	// compaction that still have outstanding pins.
-	cur      *epoch
+	// cur is the live epoch (swapped under mu, loaded lock-free by
+	// Dataset); retired holds epochs replaced by a compaction that still
+	// have outstanding pins.
+	cur      atomic.Pointer[epoch]
 	retired  map[uint64]*epoch
 	epochSeq uint64
 
 	// man is the segment manifest; nil for a store that has never sealed
-	// a segment (fresh, or legacy snapshot.trig not yet migrated).
-	man    *segment.Manifest
-	legacy bool // snapshot.trig loaded, migrate on first seal
+	// a segment.
+	man *segment.Manifest
 
 	wal        *os.File
 	walBuf     *bufio.Writer
@@ -136,37 +134,33 @@ type Store struct {
 	walDirty   bool // SyncBatch: append since last fsync
 	closed     bool
 
-	// swapHook, when set, runs epoch swaps inside a caller-provided
-	// quiescence window (see SetSwapHook).
-	swapHook func(swap func(old *rdf.Dataset) *rdf.Dataset)
-
-	// lastSealed fingerprints the dataset at the last durable point, so
-	// the background compactor can detect mutations that bypassed the
-	// WAL (the mdm facade writes through the ontology); lastFullDict is
-	// the dictionary size right after the last full compaction.
-	lastSealed   dsFingerprint
+	// lastFullDict is the dictionary size right after the last full
+	// compaction (or open).
 	lastFullDict int
 
 	bgStop, bgDone     chan struct{}
 	syncStop, syncDone chan struct{}
 }
 
-type dsFingerprint struct {
-	version  uint64
-	len, dic int
-}
+// Op is one mutation of an Apply batch.
+type Op = segment.Op
 
-func fingerprint(ds *rdf.Dataset) dsFingerprint {
-	return dsFingerprint{version: ds.Version(), len: ds.Len(), dic: ds.Dict().Len()}
-}
+// Op kinds.
+const (
+	OpAdd    = segment.OpAdd
+	OpRemove = segment.OpRemove
+	OpDrop   = segment.OpDrop // Quad.Graph names the dropped graph
+	OpPrefix = segment.OpPrefix
+)
 
-// walRecord is one logged mutation.
+// walRecord is one logged mutation, or a batch of them.
 type walRecord struct {
-	Op     string    `json:"op"` // add | remove | drop | prefix
-	Quad   *jsonQuad `json:"quad,omitempty"`
-	Graph  *jsonTerm `json:"graph,omitempty"`
-	Prefix string    `json:"prefix,omitempty"`
-	NS     string    `json:"ns,omitempty"`
+	Op     string      `json:"op"` // add | remove | drop | prefix | batch
+	Quad   *jsonQuad   `json:"quad,omitempty"`
+	Graph  *jsonTerm   `json:"graph,omitempty"`
+	Prefix string      `json:"prefix,omitempty"`
+	NS     string      `json:"ns,omitempty"`
+	Ops    []walRecord `json:"ops,omitempty"` // batch
 }
 
 // jsonTerm is the WAL encoding of an rdf.Term.
@@ -241,9 +235,7 @@ func Open(dir string) (*Store, error) {
 }
 
 // OpenWith loads (or creates) a store rooted at dir. If
-// opts.CompactInterval > 0 the background compactor is started
-// immediately; facade-style embedders that need to wire a swap hook
-// first should leave it zero and call SetSwapHook + StartAutoCompact.
+// opts.CompactInterval > 0 the background compactor is started.
 func OpenWith(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -262,32 +254,18 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("tdb: %w", err)
 	}
 	if man != nil {
-		// Segment store: sweep crash leftovers (sealed-but-unpublished
-		// segments, temp manifests, a snapshot.trig whose migration
-		// published the manifest but crashed before removing it), then
-		// stream-load the live segments.
+		// Sweep crash leftovers (sealed-but-unpublished segments, temp
+		// manifests), then stream-load the live segments.
 		man.Sweep(dir)
-		_ = os.Remove(filepath.Join(dir, snapshotFile))
 		for _, name := range man.Segments {
 			if _, err := segment.LoadFile(filepath.Join(dir, name), ds); err != nil {
 				return nil, fmt.Errorf("tdb: corrupt segment: %w", err)
 			}
 		}
 		s.man = man
-	} else if data, err := os.ReadFile(filepath.Join(dir, snapshotFile)); err == nil {
-		// Legacy snapshot+WAL store: full TriG re-parse, migrated to the
-		// segment format by the first Compact/Checkpoint.
-		loaded, perr := turtle.ParseDataset(string(data))
-		if perr != nil {
-			return nil, fmt.Errorf("tdb: corrupt snapshot: %w", perr)
-		}
-		ds = loaded
-		s.legacy = true
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("tdb: read snapshot: %w", err)
 	}
 
-	s.cur = &epoch{seq: s.epochSeq, ds: ds}
+	s.cur.Store(&epoch{seq: s.epochSeq, ds: ds})
 	if err := s.replayWAL(); err != nil {
 		return nil, err
 	}
@@ -297,7 +275,6 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 	}
 	s.wal = wal
 	s.walBuf = bufio.NewWriter(wal)
-	s.lastSealed = fingerprint(ds)
 	s.lastFullDict = ds.Dict().Len()
 
 	if opts.Sync == SyncBatch {
@@ -327,9 +304,9 @@ func (s *Store) replayWAL() error {
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 1<<16)
-	// WAL records cluster by graph (MDM mutates one named graph at a
-	// time), so cache the last graph to skip a dataset lookup per record.
+	ds := s.cur.Load().ds
 	var cache graphCache
+	var buf []Op
 	var off int64 // offset of the first byte not yet known-good
 	for {
 		line, rerr := r.ReadBytes('\n')
@@ -351,7 +328,10 @@ func (s *Store) replayWAL() error {
 				}
 				return nil
 			}
-			s.applyLocked(w, &cache)
+			buf = w.ops(buf[:0])
+			for _, op := range buf {
+				cache.apply(ds, op)
+			}
 			s.walRecords++
 		}
 		off += int64(len(line))
@@ -364,8 +344,9 @@ func (s *Store) replayWAL() error {
 	}
 }
 
-// graphCache memoizes the most recent Dataset.Graph resolution during
-// WAL replay.
+// graphCache memoizes the most recent Dataset.Graph resolution: WAL
+// replay and facade batches mutate one named graph at a time, so this
+// skips a dataset lookup per op.
 type graphCache struct {
 	name  rdf.Term
 	graph *rdf.Graph
@@ -379,42 +360,90 @@ func (c *graphCache) get(ds *rdf.Dataset, name rdf.Term) *rdf.Graph {
 	return c.graph
 }
 
-func (c *graphCache) invalidate() { c.graph = nil }
+// ApplyOps applies ops in order to a dataset that no Store owns (the
+// in-memory mdm systems write this way), validating like Apply: an
+// invalid quad rejects the batch before any op is applied.
+func ApplyOps(ds *rdf.Dataset, ops ...Op) error {
+	if err := validate(ops); err != nil {
+		return err
+	}
+	var c graphCache
+	for _, op := range ops {
+		c.apply(ds, op)
+	}
+	return nil
+}
 
-func (s *Store) applyLocked(rec walRecord, cache *graphCache) {
-	switch rec.Op {
-	case "add":
-		if rec.Quad != nil {
-			q := rec.Quad.quad()
-			_, _ = cache.get(s.cur.ds, q.Graph).Add(q.Triple)
+func validate(ops []Op) error {
+	for _, op := range ops {
+		if op.Kind == OpAdd && !op.Quad.Triple.Valid() {
+			return fmt.Errorf("tdb: invalid quad %s", op.Quad)
 		}
-	case "remove":
-		if rec.Quad != nil {
-			q := rec.Quad.quad()
-			// Removing from a graph that does not exist must stay a
-			// no-op: resolving it through Dataset.Graph would create the
-			// graph and bump Dataset.Version for nothing.
-			if g, ok := s.cur.ds.Lookup(q.Graph); ok {
-				if cache.graph != nil && cache.name != q.Graph {
-					cache.invalidate()
-				}
-				g.Remove(q.Triple)
+	}
+	return nil
+}
+
+func (c *graphCache) apply(ds *rdf.Dataset, op Op) bool {
+	switch op.Kind {
+	case OpAdd:
+		added, _ := c.get(ds, op.Quad.Graph).Add(op.Quad.Triple)
+		return added
+	case OpRemove:
+		// Removing from a graph that does not exist must stay a no-op:
+		// resolving it through Dataset.Graph would create the graph and
+		// bump Dataset.Version for nothing.
+		g, ok := ds.Lookup(op.Quad.Graph)
+		return ok && g.Remove(op.Quad.Triple)
+	case OpDrop:
+		c.graph = nil
+		return ds.DropGraph(op.Quad.Graph)
+	case OpPrefix:
+		ds.Prefixes().Bind(op.Prefix, op.NS)
+		return true
+	}
+	return false
+}
+
+// record encodes one op for the WAL.
+func record(op Op) walRecord {
+	switch op.Kind {
+	case OpAdd:
+		return walRecord{Op: "add", Quad: encQuad(op.Quad)}
+	case OpRemove:
+		return walRecord{Op: "remove", Quad: encQuad(op.Quad)}
+	case OpDrop:
+		g := encTerm(op.Quad.Graph)
+		return walRecord{Op: "drop", Graph: &g}
+	}
+	return walRecord{Op: "prefix", Prefix: op.Prefix, NS: op.NS}
+}
+
+// ops appends the record's ops (a batch's in order) to dst.
+func (w walRecord) ops(dst []Op) []Op {
+	switch w.Op {
+	case "add", "remove":
+		if w.Quad != nil {
+			kind := OpAdd
+			if w.Op == "remove" {
+				kind = OpRemove
 			}
+			dst = append(dst, Op{Kind: kind, Quad: w.Quad.quad()})
 		}
 	case "drop":
-		if rec.Graph != nil {
-			s.cur.ds.DropGraph(decTerm(*rec.Graph))
-			cache.invalidate()
+		if w.Graph != nil {
+			dst = append(dst, Op{Kind: OpDrop, Quad: rdf.Quad{Graph: decTerm(*w.Graph)}})
 		}
 	case "prefix":
-		s.cur.ds.Prefixes().Bind(rec.Prefix, rec.NS)
+		dst = append(dst, Op{Kind: OpPrefix, Prefix: w.Prefix, NS: w.NS})
+	case "batch":
+		for _, sub := range w.Ops {
+			dst = sub.ops(dst)
+		}
 	}
+	return dst
 }
 
 func (s *Store) append(rec walRecord) error {
-	if s.closed {
-		return errors.New("tdb: store is closed")
-	}
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("tdb: encode wal record: %w", err)
@@ -440,6 +469,8 @@ func (s *Store) append(rec walRecord) error {
 
 // syncLoop is the SyncBatch flusher: fsync the WAL at most once per
 // SyncInterval, and only when an append happened since the last fsync.
+// The fsync runs outside the store lock, so writers and readers do not
+// wait for the disk; an append racing it re-marks the WAL dirty.
 func (s *Store) syncLoop() {
 	defer close(s.syncDone)
 	t := time.NewTicker(s.opts.SyncInterval)
@@ -451,12 +482,13 @@ func (s *Store) syncLoop() {
 		case <-t.C:
 		}
 		s.mu.Lock()
-		if !s.closed && s.walDirty {
+		dirty := !s.closed && s.walDirty
+		s.walDirty = false
+		s.mu.Unlock()
+		if dirty {
 			_ = s.wal.Sync()
-			s.walDirty = false
 			obsWALFsyncs.Inc()
 		}
-		s.mu.Unlock()
 	}
 }
 
@@ -464,27 +496,50 @@ func (s *Store) syncLoop() {
 // through Store methods. After a compaction this returns a DIFFERENT
 // dataset; long-running readers that must not observe the swap should
 // use PinSnapshot.
-func (s *Store) Dataset() *rdf.Dataset {
+func (s *Store) Dataset() *rdf.Dataset { return s.cur.Load().ds }
+
+// Apply commits ops as one unit: they are applied in order under the
+// store lock and logged as ONE WAL record, so recovery replays all of
+// them or none. Ops that change nothing (re-adding a present quad,
+// removing an absent one) are not logged, and a batch that changes
+// nothing writes no record. An invalid quad rejects the whole batch
+// before any op is applied.
+func (s *Store) Apply(ops ...Op) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cur.ds
+	_, err := s.applyLocked(ops)
+	return err
+}
+
+// applyLocked is Apply under s.mu, reporting how many ops changed the
+// dataset.
+func (s *Store) applyLocked(ops []Op) (int, error) {
+	if s.closed {
+		return 0, errors.New("tdb: store is closed")
+	}
+	if err := validate(ops); err != nil {
+		return 0, err
+	}
+	ds := s.cur.Load().ds
+	var cache graphCache
+	recs := make([]walRecord, 0, len(ops))
+	for _, op := range ops {
+		if cache.apply(ds, op) {
+			recs = append(recs, record(op))
+		}
+	}
+	switch len(recs) {
+	case 0:
+		return 0, nil
+	case 1:
+		return 1, s.append(recs[0])
+	}
+	return len(recs), s.append(walRecord{Op: "batch", Ops: recs})
 }
 
 // AddQuad durably inserts a quad.
 func (s *Store) AddQuad(q rdf.Quad) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !q.Triple.Valid() {
-		return fmt.Errorf("tdb: invalid quad %s", q)
-	}
-	added, err := s.cur.ds.AddQuad(q)
-	if err != nil {
-		return err
-	}
-	if !added {
-		return nil // no-op, nothing to log
-	}
-	return s.append(walRecord{Op: "add", Quad: encQuad(q)})
+	return s.Apply(Op{Kind: OpAdd, Quad: q})
 }
 
 // AddTriple durably inserts a triple into the default graph.
@@ -499,30 +554,18 @@ func (s *Store) AddTriple(t rdf.Triple) error {
 func (s *Store) RemoveQuad(q rdf.Quad) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	g, ok := s.cur.ds.Lookup(q.Graph)
-	if !ok || !g.Remove(q.Triple) {
-		return false, nil
-	}
-	return true, s.append(walRecord{Op: "remove", Quad: encQuad(q)})
+	n, err := s.applyLocked([]Op{{Kind: OpRemove, Quad: q}})
+	return n > 0, err
 }
 
 // DropGraph durably removes an entire named graph.
 func (s *Store) DropGraph(name rdf.Term) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.cur.ds.DropGraph(name) {
-		return nil
-	}
-	g := encTerm(name)
-	return s.append(walRecord{Op: "drop", Graph: &g})
+	return s.Apply(Op{Kind: OpDrop, Quad: rdf.Quad{Graph: name}})
 }
 
 // BindPrefix durably registers a prefix binding.
 func (s *Store) BindPrefix(prefix, ns string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cur.ds.Prefixes().Bind(prefix, ns)
-	return s.append(walRecord{Op: "prefix", Prefix: prefix, NS: ns})
+	return s.Apply(Op{Kind: OpPrefix, Prefix: prefix, NS: ns})
 }
 
 // WALRecords returns the number of WAL records since the last seal

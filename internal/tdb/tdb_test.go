@@ -161,8 +161,7 @@ func TestCompactThenReopen(t *testing.T) {
 	}
 	s.Close()
 
-	// Compaction publishes a manifest naming one full segment; the legacy
-	// snapshot file must be gone.
+	// Compaction publishes a manifest naming one full segment.
 	man, err := segment.LoadManifest(dir)
 	if err != nil || man == nil {
 		t.Fatalf("LoadManifest after compact = %v, %v", man, err)
@@ -172,9 +171,6 @@ func TestCompactThenReopen(t *testing.T) {
 	}
 	if _, err := segment.ReadStats(filepath.Join(dir, man.Segments[0])); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); !os.IsNotExist(err) {
-		t.Fatalf("legacy snapshot still present after compact: %v", err)
 	}
 	s2 := openT(t, dir)
 	defer s2.Close()
@@ -237,16 +233,6 @@ func TestClosedStoreRejectsWrites(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("double Close should be nil, got %v", err)
-	}
-}
-
-func TestCorruptSnapshotReported(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, snapshotFile), []byte("not turtle <"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "corrupt snapshot") {
-		t.Fatalf("Open on corrupt snapshot = %v", err)
 	}
 }
 

@@ -32,8 +32,9 @@ package mdm
 import (
 	"context"
 	"fmt"
-	"os"
+	"net/url"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"mdm/internal/bdi"
@@ -45,7 +46,6 @@ import (
 	"mdm/internal/release"
 	"mdm/internal/rewrite"
 	"mdm/internal/sparql"
-	"mdm/internal/store"
 	"mdm/internal/tdb"
 	"mdm/internal/wrapper"
 )
@@ -87,32 +87,33 @@ func NewWalk() *Walk { return rewrite.NewWalk() }
 // T builds a triple (for mapping subgraphs).
 func T(s, p, o Term) Triple { return rdf.T(s, p, o) }
 
-// System is an MDM instance: ontology, wrapper registry, release log and
-// metadata store behind one facade.
+// System is an MDM instance: ontology (with the system graph holding
+// the release log and saved walks), wrapper registry and release
+// manager behind one facade.
 type System struct {
 	ont      *bdi.Ontology
 	reg      *wrapper.Registry
 	releases *release.Manager
-	meta     *store.Store
 	rewriter *rewrite.Rewriter
 	fed      *federate.Engine
 	// tdbStore is non-nil for persistent systems created with Open.
 	tdbStore *tdb.Store
 }
 
-// New creates an in-memory MDM system.
-func New() *System {
-	ont := bdi.New()
-	reg := wrapper.NewRegistry()
-	meta, _ := store.Open("") // in-memory store never fails
+func newSystem(ont *bdi.Ontology, reg *wrapper.Registry, ts *tdb.Store) *System {
 	return &System{
 		ont:      ont,
 		reg:      reg,
 		releases: release.NewManager(ont, reg),
-		meta:     meta,
 		rewriter: rewrite.New(ont, reg),
 		fed:      federate.NewEngine(),
+		tdbStore: ts,
 	}
+}
+
+// New creates an in-memory MDM system.
+func New() *System {
+	return newSystem(bdi.New(), wrapper.NewRegistry(), nil)
 }
 
 // StoreOptions configures the persistent storage engine behind OpenWith:
@@ -127,103 +128,36 @@ func Open(dir string) (*System, error) {
 }
 
 // OpenWith loads (or creates) a persistent MDM system rooted at dir.
-// The ontology dataset lives in a tdb segment store (manifest-listed
-// immutable segments plus a write-ahead-log tail, both replayed at
-// open); system metadata lives in a JSON document store next to it.
-// When opts.CompactInterval > 0 a background compactor keeps the store
-// checkpointed and its dictionary garbage-collected; the compactor
-// swaps the live dataset atomically under the ontology's write lock, so
-// facade reads and writes never observe a half-migrated dataset. Call
-// Checkpoint to force a durability point and Close when done. Wrappers
-// are live code and must be re-registered after reopen.
-//
-// A dir/ontology.trig file written by pre-segment mdmd deployments is
-// migrated into the store on first open (and renamed to
-// ontology.trig.migrated).
+// The whole state — ontology, release log and saved walks — lives in
+// one tdb segment store under dir/ontology (manifest-listed immutable
+// segments plus a write-ahead-log tail, both replayed at open). Every
+// mutation is one WAL record, durable at the opts.Sync mode once the
+// call returns. When opts.CompactInterval > 0 a background compactor
+// keeps the store checkpointed and its dictionary garbage-collected.
+// Close when done. Wrappers are live code and must be re-registered
+// after reopen; the release log, and so the next release's Seq,
+// carries on.
 func OpenWith(dir string, opts StoreOptions) (*System, error) {
-	tdbOpts := opts
-	// The background compactor must not start before the ontology's swap
-	// hook is wired, or an early compaction could swap the dataset
-	// without re-pointing the facade; started manually below.
-	tdbOpts.CompactInterval = 0
-	ts, err := tdb.OpenWith(filepath.Join(dir, "ontology"), tdbOpts)
+	ts, err := tdb.OpenWith(filepath.Join(dir, "ontology"), opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := migrateLegacyTriG(dir, ts); err != nil {
-		ts.Close()
-		return nil, err
-	}
-	meta, err := store.Open(filepath.Join(dir, "meta"))
+	ont, err := bdi.FromBackend(ts)
 	if err != nil {
 		ts.Close()
 		return nil, err
 	}
-	ont := bdi.FromDataset(ts.Dataset())
-	ts.SetSwapHook(ont.Rebind)
-	if opts.CompactInterval > 0 {
-		ts.StartAutoCompact(opts.CompactInterval, opts.CompactWALThreshold)
-	}
-	reg := wrapper.NewRegistry()
-	return &System{
-		ont:      ont,
-		reg:      reg,
-		releases: release.NewManager(ont, reg),
-		meta:     meta,
-		rewriter: rewrite.New(ont, reg),
-		fed:      federate.NewEngine(),
-		tdbStore: ts,
-	}, nil
+	return newSystem(ont, wrapper.NewRegistry(), ts), nil
 }
 
-// migrateLegacyTriG imports a pre-segment mdmd data directory: a single
-// dir/ontology.trig TriG export. The parsed dataset is written through
-// the store (so it lands in a sealed segment) and the file is renamed
-// aside; a crash mid-migration re-runs it from the original file.
-func migrateLegacyTriG(dir string, ts *tdb.Store) error {
-	path := filepath.Join(dir, "ontology.trig")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("mdm: read legacy ontology.trig: %w", err)
-	}
-	if ts.Dataset().Len() > 0 {
-		// The store already has content: a previous migration completed
-		// but the rename was interrupted, or the operator restored an old
-		// export alongside a live store. Never overwrite the store.
-		return fmt.Errorf("mdm: both a tdb store and %s exist; remove or rename one", path)
-	}
-	parsed, err := turtle.ParseDataset(string(data))
-	if err != nil {
-		return fmt.Errorf("mdm: parse legacy ontology.trig: %w", err)
-	}
-	for _, p := range parsed.Prefixes().Pairs() {
-		if err := ts.BindPrefix(p[0], p[1]); err != nil {
-			return err
-		}
-	}
-	for _, q := range parsed.Quads() {
-		if err := ts.AddQuad(q); err != nil {
-			return err
-		}
-	}
-	if err := ts.Compact(); err != nil {
-		return err
-	}
-	return os.Rename(path, path+".migrated")
-}
-
-// Checkpoint makes a persistent system's current ontology state durable
-// by running a full storage compaction (facade writes go through the
-// ontology, not the WAL, so the sealed segment is their durability
-// point). It is a no-op for in-memory systems.
+// Checkpoint seals a persistent system's WAL tail into a storage
+// segment in O(tail), so the next open replays less; acknowledged
+// writes are durable without it. It is a no-op for in-memory systems.
 func (s *System) Checkpoint() error {
 	if s.tdbStore == nil {
 		return nil
 	}
-	return s.tdbStore.Compact()
+	return s.tdbStore.Checkpoint()
 }
 
 // CompactStorage forces a full storage compaction now: the live dataset
@@ -243,15 +177,12 @@ func (s *System) CompactStorage() error {
 // pinning, WAL counters, manual checkpoints.
 func (s *System) Storage() *tdb.Store { return s.tdbStore }
 
-// Close checkpoints and releases a persistent system's resources. It is
-// a no-op for in-memory systems.
+// Close releases a persistent system's resources; everything it
+// acknowledged is already in the WAL. It is a no-op for in-memory
+// systems.
 func (s *System) Close() error {
 	if s.tdbStore == nil {
 		return nil
-	}
-	if err := s.tdbStore.Compact(); err != nil {
-		s.tdbStore.Close()
-		return err
 	}
 	return s.tdbStore.Close()
 }
@@ -259,15 +190,7 @@ func (s *System) Close() error {
 // FromParts assembles a System around an existing ontology and wrapper
 // registry (e.g. a prebuilt fixture).
 func FromParts(ont *bdi.Ontology, reg *wrapper.Registry) *System {
-	meta, _ := store.Open("")
-	return &System{
-		ont:      ont,
-		reg:      reg,
-		releases: release.NewManager(ont, reg),
-		meta:     meta,
-		rewriter: rewrite.New(ont, reg),
-		fed:      federate.NewEngine(),
-	}
+	return newSystem(ont, reg, nil)
 }
 
 // Ontology exposes the underlying BDI ontology for advanced use.
@@ -275,9 +198,6 @@ func (s *System) Ontology() *bdi.Ontology { return s.ont }
 
 // Wrappers exposes the wrapper registry.
 func (s *System) Wrappers() *wrapper.Registry { return s.reg }
-
-// Metadata exposes the system metadata store.
-func (s *System) Metadata() *store.Store { return s.meta }
 
 // Releases exposes the release manager.
 func (s *System) Releases() *release.Manager { return s.releases }
@@ -290,8 +210,8 @@ func (s *System) Federation() *federate.Engine { return s.fed }
 // --- Prefixes and IRIs ---
 
 // BindPrefix registers a namespace prefix for CURIE expansion.
-func (s *System) BindPrefix(prefix, namespace string) {
-	s.ont.Dataset().Prefixes().Bind(prefix, namespace)
+func (s *System) BindPrefix(prefix, namespace string) error {
+	return s.ont.BindPrefix(prefix, namespace)
 }
 
 // IRI resolves a CURIE ("ex:Player") or absolute IRI to a Term.
@@ -338,10 +258,6 @@ func (s *System) AddSubClass(sub, super string) error {
 
 // AddSource declares a data source.
 func (s *System) AddSource(sourceID, label string) error {
-	_, err := s.meta.Insert("sources", store.Doc{"source": sourceID, "label": label})
-	if err != nil {
-		return err
-	}
 	return s.ont.AddDataSource(sourceID, label)
 }
 
@@ -357,10 +273,6 @@ func (s *System) RegisterWrapper(w Wrapper) (Release, error) {
 		return Release{}, err
 	}
 	s.fed.Forget(w.Name())
-	_, _ = s.meta.Insert("releases", store.Doc{
-		"seq": int64(rel.Seq), "kind": string(rel.Kind), "source": rel.SourceID,
-		"wrapper": rel.Wrapper, "breaking": rel.Breaking, "signature": rel.Signature,
-	})
 	return rel, nil
 }
 
@@ -594,28 +506,54 @@ func (s *System) Stats() bdi.Stats { return s.ont.Stats() }
 // ReleaseLog returns all releases in order.
 func (s *System) ReleaseLog() []Release { return s.releases.Log() }
 
+// Saved walks are system-graph records keyed by name: subject
+// <urn:mdm:system:walk/NAME> with its name and its definition (an
+// opaque string; the REST API stores the walk request JSON).
+var (
+	walkName       = rdf.IRI(bdi.NSSystem + "walkName")
+	walkDefinition = rdf.IRI(bdi.NSSystem + "walkDefinition")
+)
+
+func walkIRI(name string) Term { return rdf.IRI(bdi.NSSystem + "walk/" + url.PathEscape(name)) }
+
+// SaveWalk stores a walk definition under name, replacing any walk
+// saved under that name in the same write.
+func (s *System) SaveWalk(name, definition string) error {
+	w := walkIRI(name)
+	return s.ont.PutRecord(w, []Triple{
+		rdf.T(w, walkName, rdf.Lit(name)),
+		rdf.T(w, walkDefinition, rdf.Lit(definition)),
+	})
+}
+
+// SavedWalk returns the definition saved under name.
+func (s *System) SavedWalk(name string) (string, bool) {
+	t, ok := s.ont.System().Object(walkIRI(name), walkDefinition)
+	return t.Value, ok
+}
+
+// SavedWalks lists the names of the saved walks, sorted.
+func (s *System) SavedWalks() []string {
+	names := []string{}
+	for _, t := range s.ont.System().Match(rdf.Any, walkName, rdf.Any) {
+		names = append(names, t.O.Value)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // ExportTriG serializes the full ontology dataset as TriG.
 func (s *System) ExportTriG() string {
 	return turtle.WriteDataset(s.ont.Dataset())
 }
 
 // ImportTriG loads a TriG document produced by ExportTriG into a fresh
-// system (wrappers must be re-registered by the caller; they are live
-// code, not data).
+// in-memory system, release log and saved walks included (wrappers must
+// be re-registered by the caller; they are live code, not data).
 func ImportTriG(doc string) (*System, error) {
 	ds, err := turtle.ParseDataset(doc)
 	if err != nil {
 		return nil, err
 	}
-	ont := bdi.FromDataset(ds)
-	reg := wrapper.NewRegistry()
-	meta, _ := store.Open("")
-	return &System{
-		ont:      ont,
-		reg:      reg,
-		releases: release.NewManager(ont, reg),
-		meta:     meta,
-		rewriter: rewrite.New(ont, reg),
-		fed:      federate.NewEngine(),
-	}, nil
+	return newSystem(bdi.FromDataset(ds), wrapper.NewRegistry(), nil), nil
 }

@@ -3,9 +3,8 @@ package mdm_test
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -192,6 +191,9 @@ SELECT ?c WHERE {
 
 func TestFacadeExportImportTriG(t *testing.T) {
 	sys := buildSystem(t)
+	if err := sys.SaveWalk("players & teams/v1", `{"q":"a \"b\"\n"}`); err != nil {
+		t.Fatal(err)
+	}
 	doc := sys.ExportTriG()
 	if !strings.Contains(doc, "@prefix") {
 		t.Fatalf("export = %.100s", doc)
@@ -208,6 +210,14 @@ func TestFacadeExportImportTriG(t *testing.T) {
 	// mappings reference source-graph wrappers, which ARE in the data).
 	if v := sys2.Validate(); len(v) != 0 {
 		t.Errorf("violations after reimport: %v", v)
+	}
+	// The system graph travels too: release log and saved walks.
+	if l1, l2 := sys.ReleaseLog(), sys2.ReleaseLog(); len(l2) != 2 || len(l1) != len(l2) ||
+		l2[1].Seq != 2 || l2[1].Wrapper != l1[1].Wrapper || !l2[1].At.Equal(l1[1].At) {
+		t.Errorf("release log after reimport = %+v, want %+v", l2, l1)
+	}
+	if def, ok := sys2.SavedWalk("players & teams/v1"); !ok || def != `{"q":"a \"b\"\n"}` {
+		t.Errorf("saved walk after reimport = %q, %v", def, ok)
 	}
 	if _, err := mdm.ImportTriG("not trig <"); err == nil {
 		t.Error("bad TriG accepted")
@@ -244,10 +254,6 @@ func TestFacadeReleaseAndDrift(t *testing.T) {
 	}
 	if err := sys.DefineMapping(suggested); err != nil {
 		t.Fatal(err)
-	}
-	// Log in metadata store.
-	if sys.Metadata().Count("releases") != 3 {
-		t.Errorf("releases in store = %d", sys.Metadata().Count("releases"))
 	}
 	if got := len(sys.ReleaseLog()); got != 3 {
 		t.Errorf("release log = %d", got)
@@ -317,10 +323,6 @@ func TestPersistentOpenCheckpointReopen(t *testing.T) {
 	st := sys2.Stats()
 	if st.Concepts != 1 || st.Features != 1 || st.Sources != 1 {
 		t.Fatalf("reopened stats = %+v", st)
-	}
-	// Metadata store persisted too.
-	if sys2.Metadata().Count("sources") != 1 {
-		t.Errorf("metadata sources = %d", sys2.Metadata().Count("sources"))
 	}
 	// In-memory systems: Checkpoint/Close are no-ops.
 	mem := mdm.New()
@@ -428,56 +430,6 @@ func TestReRegisterWrapperInvalidatesCacheAndBreaker(t *testing.T) {
 	}
 	if st := fed.Breakers.States()["w1"]; st != "closed" {
 		t.Fatalf("w1 breaker after re-registration = %q, want closed", st)
-	}
-}
-
-func TestLegacyTriGMigration(t *testing.T) {
-	dir := t.TempDir()
-	// A pre-segment mdmd data directory: one TriG export, no store.
-	legacy := mdm.New()
-	legacy.BindPrefix("ex", "http://ex.org/")
-	if err := legacy.AddConcept("ex:Player", "Player"); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "ontology.trig"), []byte(legacy.ExportTriG()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	sys, err := mdm.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.Stats().Concepts != 1 {
-		t.Fatalf("migrated stats = %+v", sys.Stats())
-	}
-	if _, err := os.Stat(filepath.Join(dir, "ontology.trig.migrated")); err != nil {
-		t.Fatalf("legacy file not renamed aside: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "ontology.trig")); !os.IsNotExist(err) {
-		t.Fatalf("legacy file still present: %v", err)
-	}
-	if err := sys.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen: content survives in the segment store; the renamed export
-	// is not re-imported.
-	sys2, err := mdm.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys2.Close()
-	if sys2.Stats().Concepts != 1 {
-		t.Fatalf("reopened stats = %+v", sys2.Stats())
-	}
-
-	// A data dir holding BOTH a live store and a legacy export refuses
-	// to guess which one wins.
-	if err := os.WriteFile(filepath.Join(dir, "ontology.trig"), []byte(legacy.ExportTriG()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mdm.Open(dir); err == nil {
-		t.Fatal("Open should refuse a dir with both store and legacy export")
 	}
 }
 
@@ -665,5 +617,79 @@ SELECT ?anc WHERE { GRAPH ?g { ex:V8 rdfs:subClassOf+ ?anc } }`)
 	}
 	if res.Len() != 7 {
 		t.Fatalf("post-compaction closure rows = %d, want 7", res.Len())
+	}
+}
+
+// TestSavedWalksReplaceByName: saving under an existing name replaces
+// the definition; names list once, sorted.
+func TestSavedWalksReplaceByName(t *testing.T) {
+	sys := mdm.New()
+	for _, w := range [][2]string{{"b", "v1"}, {"a", "x"}, {"b", "v2"}} {
+		if err := sys.SaveWalk(w[0], w[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := sys.SavedWalks(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Fatalf("SavedWalks = %v", got)
+	}
+	if def, ok := sys.SavedWalk("b"); !ok || def != "v2" {
+		t.Fatalf("SavedWalk(b) = %q, %v; want v2", def, ok)
+	}
+	if _, ok := sys.SavedWalk("ghost"); ok {
+		t.Fatal("unknown walk found")
+	}
+	if st := sys.Stats(); st.Concepts != 0 || st.Mappings != 0 {
+		t.Fatalf("saved walks leaked into the ontology: %+v", st)
+	}
+}
+
+// TestFacadeWritesDuringCompaction: facade writers and readers racing
+// the background compactor's epoch swaps lose no write — every write
+// lands in the store, whichever epoch is current — and all of them are
+// there after a reopen. Run with -race (CI does).
+func TestFacadeWritesDuringCompaction(t *testing.T) {
+	dir := t.TempDir()
+	sys, err := mdm.OpenWith(dir, mdm.StoreOptions{CompactInterval: time.Millisecond, CompactWALThreshold: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.BindPrefix("ex", "http://ex.org/"); err != nil {
+		t.Fatal(err)
+	}
+	const writers, each = 4, 60
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := sys.AddConcept(fmt.Sprintf("ex:C%d_%d", w, i), ""); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%10 == 0 {
+					_ = sys.Stats()
+					if err := sys.CompactStorage(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := sys.Stats().Concepts; got != writers*each {
+		t.Fatalf("concepts = %d, want %d", got, writers*each)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sys2, err := mdm.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys2.Close()
+	if got := sys2.Stats().Concepts; got != writers*each {
+		t.Fatalf("concepts after reopen = %d, want %d", got, writers*each)
 	}
 }
