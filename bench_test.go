@@ -386,10 +386,12 @@ func BenchmarkSPARQLJoinRows(b *testing.B) {
 }
 
 // BenchmarkSPARQLLimitPushdown pins the O(page) contract of the cursor
-// engine on the ~9k-row join: LIMIT 10 without ORDER BY goes through
-// the bounded top-k operator (no full sort, no full materialization),
-// LIMIT 10 with ORDER BY still pays the sort barrier, and full-drain is
-// the O(result) baseline the pushdown is measured against.
+// engine on the ~9k-row join: LIMIT 10 goes through the bounded top-k
+// barrier (no full sort, no full materialization) with or without
+// ORDER BY — keyed on integer literals (limit10-orderby) or on IRIs
+// (limit10-orderby-iri, the shape of a steward's "first attributes"
+// listing) — and full-drain is the O(result) baseline the pushdown is
+// measured against.
 func BenchmarkSPARQLLimitPushdown(b *testing.B) {
 	ds := joinRowsDataset()
 	cases := []struct {
@@ -399,6 +401,7 @@ func BenchmarkSPARQLLimitPushdown(b *testing.B) {
 	}{
 		{"limit10", joinRowsQuery + " LIMIT 10", 10},
 		{"limit10-orderby", joinRowsQuery + " ORDER BY ?w LIMIT 10", 10},
+		{"limit10-orderby-iri", joinRowsQuery + " ORDER BY ?a LIMIT 10", 10},
 		{"full-drain", joinRowsQuery, 9000},
 	}
 	for _, tc := range cases {

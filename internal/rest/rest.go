@@ -25,8 +25,8 @@
 //	format=ndjson
 //	           stream results as NDJSON instead of one JSON document:
 //	           a header line {"vars":[...]} (or {"columns":[...]} for
-//	           walk results), then one JSON array of cell strings per
-//	           row, flushed as produced
+//	           walk results), flushed at once, then one JSON array of
+//	           cell strings per row, streamed as produced
 //	partial=1|0
 //	           (walk endpoints) override the engine's degradation mode
 //	           for this query: with partial on, a failed source no
@@ -55,11 +55,13 @@
 package rest
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -283,27 +285,46 @@ func wantNDJSON(r *http.Request) bool {
 	return r.URL.Query().Get("format") == "ndjson"
 }
 
-// ndjsonWriter streams one JSON value per line, flushing as it goes so
-// clients see rows while the query is still running.
+// ndjsonWriter streams one JSON value per line. It flushes the header
+// line at once, because that line commits the 200, and flushes again at
+// the end, after the error line if there is one. It does not flush per
+// row: net/http's response buffer (4 KiB) sends a chunk whenever it
+// fills, so clients still see rows while the query runs, without one
+// write per row.
 type ndjsonWriter struct {
-	w     http.ResponseWriter
 	enc   *json.Encoder
 	flush http.Flusher
 }
 
-func startNDJSON(w http.ResponseWriter) *ndjsonWriter {
+// startNDJSON commits the 200 and sends the header line.
+func startNDJSON(w http.ResponseWriter, header any) *ndjsonWriter {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	out := &ndjsonWriter{w: w, enc: json.NewEncoder(w)}
+	out := &ndjsonWriter{enc: json.NewEncoder(w)}
 	out.flush, _ = w.(http.Flusher)
+	out.line(header)
+	out.flushNow()
 	return out
 }
 
 func (n *ndjsonWriter) line(v any) {
 	_ = n.enc.Encode(v) // Encode appends the newline
+}
+
+func (n *ndjsonWriter) flushNow() {
 	if n.flush != nil {
 		n.flush.Flush()
 	}
+}
+
+// end closes the stream: a trailing error line when err is non-nil, so
+// a still-connected client can tell a truncated stream from a complete
+// one, then a flush of the rows still buffered.
+func (n *ndjsonWriter) end(err error) {
+	if err != nil {
+		n.line(apiError{Error: err.Error()})
+	}
+	n.flushNow()
 }
 
 // --- read side ---
@@ -776,7 +797,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if wantNDJSON(r) {
-			startNDJSON(w).line(map[string]any{"ask": ask})
+			startNDJSON(w, map[string]any{"ask": ask})
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"ask": ask})
@@ -801,20 +822,24 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		// that (e.g. the server-side query timeout) is reported as a
 		// trailing error line so a still-connected client can tell a
 		// truncated stream from a complete one.
-		out := startNDJSON(w)
-		out.line(map[string]any{"vars": vars})
+		out := startNDJSON(w, map[string]any{"vars": vars})
 		for cur.Next(ctx) {
 			out.line(cells())
 		}
-		if err := cur.Err(); err != nil {
-			out.line(apiError{Error: err.Error()})
-		}
+		out.end(cur.Err())
 		return
 	}
 
-	page := [][]string{}
-	for cur.Next(ctx) {
-		page = append(page, cells())
+	// The page is drained before the status line so an error can still
+	// answer with its own status; its cells are kept row-major.
+	var page []string
+	n := 0
+	for ; cur.Next(ctx); n++ {
+		row := cur.Row()
+		for i := range vars {
+			t, _ := row.Term(i)
+			page = append(page, t.Value)
+		}
 	}
 	endExec()
 	if err := cur.Err(); err != nil {
@@ -822,7 +847,49 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		fail(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"vars": vars, "rows": page})
+	writeRows(w, vars, page, n)
+}
+
+// writeRows writes the JSON document {"rows":[...],"vars":[...]} for n
+// rows whose cells page holds row-major — the bytes writeJSON writes
+// for that map — encoding 256 rows at a time, so a large page is never
+// marshaled into a single buffer. Write errors are dropped, as in
+// writeJSON: the status is sent, and a failed write means the client
+// is gone.
+func writeRows(w http.ResponseWriter, vars, page []string, n int) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	// encode returns v's JSON without Encode's trailing newline.
+	encode := func(v any) []byte {
+		buf.Reset()
+		_ = enc.Encode(v)
+		return buf.Bytes()[:buf.Len()-1]
+	}
+	_, _ = io.WriteString(w, `{"rows":[`)
+	k := len(vars)
+	empty := []string{} // a row of no columns is [], not null
+	batch := make([][]string, 0, 256)
+	for i := 0; i < n; {
+		batch = batch[:0]
+		for ; i < n && len(batch) < cap(batch); i++ {
+			if k == 0 {
+				batch = append(batch, empty)
+			} else {
+				batch = append(batch, page[i*k:(i+1)*k])
+			}
+		}
+		b := encode(batch)
+		b = b[1 : len(b)-1] // the rows, without the batch's brackets
+		if i > len(batch) {
+			_, _ = io.WriteString(w, ",")
+		}
+		_, _ = w.Write(b)
+	}
+	_, _ = io.WriteString(w, `],"vars":`)
+	_, _ = w.Write(encode(vars))
+	_, _ = io.WriteString(w, "}\n")
 }
 
 // --- saved walks (analytical processes) ---
@@ -1012,7 +1079,6 @@ func (s *Server) runWalk(w http.ResponseWriter, r *http.Request, walk *mdm.Walk)
 	}
 
 	if wantNDJSON(r) {
-		out := startNDJSON(w)
 		head := map[string]any{"columns": cur.Columns(), "sparql": res.SPARQL}
 		if cur.Partial() {
 			head["partial"] = true
@@ -1023,14 +1089,12 @@ func (s *Server) runWalk(w http.ResponseWriter, r *http.Request, walk *mdm.Walk)
 				head["stale_sources"] = st
 			}
 		}
-		out.line(head)
+		out := startNDJSON(w, head)
 		for cur.Next(ctx) {
 			rows++
 			out.line(cells())
 		}
-		if err := cur.Err(); err != nil {
-			out.line(apiError{Error: err.Error()})
-		}
+		out.end(cur.Err())
 		return
 	}
 

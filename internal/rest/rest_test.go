@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -1235,4 +1236,57 @@ func TestConcurrentSaveWalkSameName(t *testing.T) {
 	if r := c.do("POST", "/api/walks/dup-07/run", nil, 200); len(r["rows"].([]any)) != 5 {
 		t.Fatalf("run = %v", r)
 	}
+}
+
+// TestNDJSONDeadlineErrorLine pins the NDJSON timeout paths over a
+// real server, where the response buffer and its flushes are real.
+func TestNDJSONDeadlineErrorLine(t *testing.T) {
+	post := func(t *testing.T, srv *rest.Server, path, body string) (int, []string) {
+		t.Helper()
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, strings.Split(strings.TrimRight(string(b), "\n"), "\n")
+	}
+
+	// A metadata query evaluates lazily after the header line commits
+	// the 200, so a deadline that passes during evaluation ends the
+	// stream with an error line.
+	t.Run("sparql", func(t *testing.T) {
+		f := usecase.MustNew()
+		srv := rest.NewServer(mdm.FromParts(f.Ont, f.Reg))
+		srv.QueryTimeout = time.Nanosecond
+		code, lines := post(t, srv, "/api/sparql?format=ndjson", `{"query":"SELECT ?s ?o WHERE { ?s ?p ?o . ?o ?q ?r }"}`)
+		if code != http.StatusOK || len(lines) != 2 {
+			t.Fatalf("status %d, lines %q; want 200, header + error line", code, lines)
+		}
+		if lines[0] != `{"vars":["s","o"]}` {
+			t.Errorf("header line = %s", lines[0])
+		}
+		var tail struct{ Error string }
+		if err := json.Unmarshal([]byte(lines[1]), &tail); err != nil || !strings.Contains(tail.Error, "deadline") {
+			t.Errorf("last line = %s, want an error naming the deadline", lines[1])
+		}
+	})
+
+	// A walk scatters its sources before the header line, which carries
+	// the partial-result annotations only the scatter can tell; a source
+	// that outlives the deadline therefore fails the walk with 504
+	// before any NDJSON is written.
+	t.Run("walk", func(t *testing.T) {
+		srv := rest.NewServer(slowWalkSystem(t))
+		srv.QueryTimeout = 50 * time.Millisecond
+		code, lines := post(t, srv, "/api/query?format=ndjson", fig8WalkBody)
+		if code != http.StatusGatewayTimeout || len(lines) != 1 || !strings.Contains(lines[0], "deadline") {
+			t.Fatalf("status %d, lines %q; want 504 and one error document naming the deadline", code, lines)
+		}
+	})
 }

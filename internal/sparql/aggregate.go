@@ -26,10 +26,10 @@ import (
 //     integer 0; integer-only inputs stay xsd:integer, any other
 //     numeric input promotes to xsd:double, and a non-numeric input
 //     makes the sum an error — the alias is left unbound.
-//   - MIN/MAX compare numerically when both sides parse as numbers
-//     (compareOrder), with rdf.Compare breaking exact numeric ties so
-//     the winner is independent of row order; over an empty group the
-//     alias is unbound.
+//   - MIN/MAX pick the first and last value under the ORDER BY order
+//     (compareOrder, order.go), with rdf.Compare breaking numeric ties
+//     so the winner is independent of row order; over an empty group
+//     the alias is unbound.
 //
 // When the query has aggregates but no GROUP BY, every row falls into
 // one implicit group, which emits exactly one output row even when the
@@ -54,6 +54,15 @@ const (
 	// mutHavingPreAgg applies HAVING before aggregation instead of
 	// after, the classic filter-placement bug.
 	mutHavingPreAgg
+	// mutOrderIgnoreDesc sorts DESC order keys ascending.
+	mutOrderIgnoreDesc
+	// mutTopKNoSeq drops the input-sequence tie-break from the bounded
+	// order barrier, so rows tied on the order keys may evict or
+	// outrank earlier ones.
+	mutTopKNoSeq
+	// mutOrderNonTransitive ranks ORDER BY keys with the old
+	// non-transitive comparator (legacyCompareOrder).
+	mutOrderNonTransitive
 )
 
 // aggSpec is one compiled aggregate: its function, the input slot
@@ -284,8 +293,7 @@ func (a *sumAcc) term() (rdf.Term, bool) {
 	}
 }
 
-// minTerm returns the smaller term under the aggregate order: numeric
-// when both sides parse as numbers, else rdf.Compare; exact numeric
+// minTerm returns the smaller term under the ORDER BY order; numeric
 // ties ("01" vs "1") are broken by rdf.Compare so the result does not
 // depend on the order rows were folded in.
 func minTerm(a, b rdf.Term) rdf.Term {

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
-	"math/bits"
 	"slices"
-	"sort"
 	"time"
 
 	"mdm/internal/obs"
@@ -19,11 +17,11 @@ import (
 // []rdf.TermID rows from its input on demand, so evaluation does no more
 // work than the rows actually read through the Cursor require:
 //
-//   - LIMIT/OFFSET are pushed into the pipeline tail. With ORDER BY
-//     absent, the canonical-order contract (results sorted by the
-//     projected columns so pages are deterministic) is kept by a bounded
-//     top-k operator that retains only offset+limit rows instead of
-//     materializing and sorting the full result.
+//   - LIMIT/OFFSET are pushed into the pipeline tail: the result order
+//     (ORDER BY, or the canonical order that makes pages deterministic
+//     without it) is kept by a bounded top-k barrier that retains only
+//     offset+limit rows instead of materializing and sorting the full
+//     result (order.go).
 //   - A Cursor drained only partially (or closed) simply stops pulling;
 //     upstream joins never run past what the consumer asked for.
 //   - The caller's context is polled once per pulled row (and
@@ -33,7 +31,7 @@ import (
 // Row ownership follows the Volcano convention: a row returned by
 // next() is owned by the producer and stays valid only until the next
 // call to that producer's next(). Consumers that retain rows across
-// pulls (sort/top-k/canonical barriers, Result) copy them into the
+// pulls (the order barriers, Result) copy them into the
 // evaluator's arena; everything else — joins extending an input row,
 // filters, paging — works on borrowed rows and never allocates per
 // discarded row.
@@ -533,6 +531,12 @@ func (it *tripleIter) next() []rdf.TermID {
 		if p.oSlot >= 0 {
 			o = row[p.oSlot]
 		}
+		if cap(it.buf) == 0 {
+			// Size the first scan's buffer from the index counts, so a
+			// large match set costs one allocation rather than a
+			// doubling series; later input rows reuse it.
+			it.buf = make([]rdf.TermID, 0, 3*max(1, p.g.CountIDs(s, pp, o)))
+		}
 		p.g.EachMatchIDs(s, pp, o, it.emit)
 	}
 }
@@ -943,351 +947,6 @@ func appendRowKey(key []byte, row []rdf.TermID, slots []int) []byte {
 	return key
 }
 
-// cmpCanonical is the canonical result order: projected columns
-// compared left to right, unbound first, terms by rdf.Compare. The
-// dictionary is a bijection, so it returns 0 exactly when the projected
-// columns are identical — which makes it a total order up to row
-// interchangeability and pages deterministic.
-func (e *evaluator) cmpCanonical(slots []int, a, b []rdf.TermID) int {
-	for _, s := range slots {
-		x, y := a[s], b[s]
-		switch {
-		case x == y:
-			continue
-		case x == unboundID:
-			return -1
-		case y == unboundID:
-			return 1
-		}
-		if c := rdf.Compare(e.term(x), e.term(y)); c != 0 {
-			return c
-		}
-	}
-	return 0
-}
-
-// sortCanonical sorts full-width rows into the canonical order of the
-// projected columns without decoding terms inside the comparator: the
-// distinct IDs appearing in those columns are ranked once by term order
-// (the dictionary is a bijection over 4-field Terms and rdf.Compare is
-// total on them, so distinct IDs never tie), and the rows then sort on
-// raw integer ranks. The visible order is exactly cmpCanonical's; only
-// the O(n log n) term comparisons shrink to O(distinct · log distinct).
-func (e *evaluator) sortCanonical(slots []int, rows [][]rdf.TermID) {
-	if len(rows) < 2 || len(slots) == 0 {
-		return
-	}
-	var maxID rdf.TermID
-	for _, r := range rows {
-		for _, s := range slots {
-			if id := r[s]; id != unboundID && id > maxID {
-				maxID = id
-			}
-		}
-	}
-	// Rank storage is O(result) no matter how large the dictionary is:
-	// dense ID-indexed slices when the ID range is in the same ballpark
-	// as the result's cell count (they win on constant factors), a map
-	// otherwise (a few projected rows over a huge dictionary must not
-	// allocate dictionary-sized arrays).
-	cells := len(rows) * len(slots)
-	dense := int(maxID) <= 4*cells+1024
-	var seen []bool
-	var rankD []int32
-	var rankM map[rdf.TermID]int32
-	if dense {
-		seen = make([]bool, int(maxID)+1)
-		rankD = make([]int32, int(maxID)+1)
-	} else {
-		rankM = make(map[rdf.TermID]int32, cells)
-	}
-	distinct := make([]rdf.TermID, 0, 64)
-	for _, r := range rows {
-		for _, s := range slots {
-			id := r[s]
-			if id == unboundID {
-				continue
-			}
-			if dense {
-				if !seen[id] {
-					seen[id] = true
-					distinct = append(distinct, id)
-				}
-			} else if _, ok := rankM[id]; !ok {
-				rankM[id] = 0
-				distinct = append(distinct, id)
-			}
-		}
-	}
-	slices.SortFunc(distinct, func(a, b rdf.TermID) int {
-		return rdf.Compare(e.term(a), e.term(b))
-	})
-	// Ranks are 1-based: 0 is the unbound column, which sorts first.
-	for i, id := range distinct {
-		if dense {
-			rankD[id] = int32(i + 1)
-		} else {
-			rankM[id] = int32(i + 1)
-		}
-	}
-	// When the per-column ranks and a row index all pack into 64 bits
-	// (virtually always: it takes > 20 projected columns or > 2^60
-	// result cells to overflow), sort plain integers — the comparison
-	// is a single machine word, and the trailing row-index bits both
-	// break ties deterministically and name the row to permute into
-	// place.
-	n := len(rows)
-	idxBits := bits.Len(uint(n - 1))
-	keyBits := bits.Len(uint(len(distinct)))
-	if len(slots)*keyBits+idxBits <= 64 {
-		keys := make([]uint64, n)
-		if dense {
-			for i, r := range rows {
-				k := uint64(0)
-				for _, s := range slots {
-					k <<= keyBits
-					if id := r[s]; id != unboundID {
-						k |= uint64(rankD[id])
-					}
-				}
-				keys[i] = k<<idxBits | uint64(i)
-			}
-		} else {
-			for i, r := range rows {
-				k := uint64(0)
-				for _, s := range slots {
-					k <<= keyBits
-					if id := r[s]; id != unboundID {
-						k |= uint64(rankM[id])
-					}
-				}
-				keys[i] = k<<idxBits | uint64(i)
-			}
-		}
-		slices.Sort(keys)
-		// Sorted position i must receive rows[keys[i]&mask]. Apply that
-		// permutation in place by walking its cycles, overwriting each
-		// visited index bits with the identity to mark the slot done.
-		mask := uint64(1)<<idxBits - 1
-		for i := range keys {
-			j := int(keys[i] & mask)
-			if j == i {
-				continue
-			}
-			tmp, cur := rows[i], i
-			for j != i {
-				rows[cur] = rows[j]
-				keys[cur] = keys[cur]&^mask | uint64(cur)
-				cur = j
-				j = int(keys[cur] & mask)
-			}
-			rows[cur] = tmp
-			keys[cur] = keys[cur]&^mask | uint64(cur)
-		}
-		return
-	}
-	// Equal rows are identical in every projected column, so an
-	// unstable sort cannot reorder anything observable.
-	rank := func(id rdf.TermID) int32 {
-		if dense {
-			return rankD[id]
-		}
-		return rankM[id]
-	}
-	slices.SortFunc(rows, func(a, b []rdf.TermID) int {
-		for _, s := range slots {
-			x, y := a[s], b[s]
-			switch {
-			case x == y:
-				continue
-			case x == unboundID:
-				return -1
-			case y == unboundID:
-				return 1
-			case rank(x) < rank(y):
-				return -1
-			default:
-				return 1
-			}
-		}
-		return 0
-	})
-}
-
-// sortIter is the ORDER BY barrier: it drains its input (copying each
-// row), stable-sorts by the order keys, and then streams the sorted
-// rows.
-type sortIter struct {
-	e      *evaluator
-	src    rowIter
-	keys   []OrderKey
-	kSlots []int
-
-	filled bool
-	rows   [][]rdf.TermID
-	pos    int
-}
-
-func (it *sortIter) next() []rdf.TermID {
-	if !it.filled {
-		it.filled = true
-		for {
-			row := it.src.next()
-			if row == nil {
-				break
-			}
-			it.rows = append(it.rows, it.e.extend(row))
-		}
-		if it.e.err != nil {
-			return nil
-		}
-		e := it.e
-		slices.SortStableFunc(it.rows, func(a, b []rdf.TermID) int {
-			for ki, k := range it.keys {
-				slot := it.kSlots[ki]
-				x, y := a[slot], b[slot]
-				var c int
-				switch {
-				case x == y:
-					c = 0
-				case x == unboundID:
-					c = -1
-				case y == unboundID:
-					c = 1
-				default:
-					c = compareOrder(e.term(x), e.term(y))
-				}
-				if c != 0 {
-					if k.Desc {
-						return -c
-					}
-					return c
-				}
-			}
-			return 0
-		})
-	}
-	if it.e.err != nil || it.pos >= len(it.rows) {
-		return nil
-	}
-	r := it.rows[it.pos]
-	it.pos++
-	return r
-}
-
-// canonIter is the no-ORDER-BY barrier: it drains its input, applies
-// DISTINCT when asked, sorts canonically over the projected columns so
-// results (and LIMIT/OFFSET pages) are repeatable across evaluations,
-// and streams the sorted rows.
-type canonIter struct {
-	e        *evaluator
-	src      rowIter
-	slots    []int
-	distinct bool
-
-	filled bool
-	rows   [][]rdf.TermID
-	pos    int
-}
-
-func (it *canonIter) next() []rdf.TermID {
-	if !it.filled {
-		it.filled = true
-		var seen map[string]struct{}
-		var key []byte
-		if it.distinct {
-			seen = map[string]struct{}{}
-			key = make([]byte, 0, 4*len(it.slots))
-		}
-		for {
-			row := it.src.next()
-			if row == nil {
-				break
-			}
-			if it.distinct {
-				key = appendRowKey(key[:0], row, it.slots)
-				if _, dup := seen[string(key)]; dup {
-					continue
-				}
-				seen[string(key)] = struct{}{}
-			}
-			it.rows = append(it.rows, it.e.extend(row))
-		}
-		if it.e.err != nil {
-			return nil
-		}
-		it.e.sortCanonical(it.slots, it.rows)
-	}
-	if it.e.err != nil || it.pos >= len(it.rows) {
-		return nil
-	}
-	r := it.rows[it.pos]
-	it.pos++
-	return r
-}
-
-// topKIter is the LIMIT pushdown for the canonical-order case: it keeps
-// only the k canonically smallest rows (distinct rows when DISTINCT) in
-// a sorted bound buffer while draining its input, then streams them in
-// order. Memory and allocation are O(k); rejected rows are never copied
-// and evicted copies are recycled.
-type topKIter struct {
-	e        *evaluator
-	src      rowIter
-	slots    []int
-	k        int
-	distinct bool
-
-	filled bool
-	rows   [][]rdf.TermID
-	pos    int
-}
-
-func (it *topKIter) next() []rdf.TermID {
-	if !it.filled {
-		it.filled = true
-		if it.k > 0 { // k == 0: empty page, skip evaluation entirely
-			for {
-				row := it.src.next()
-				if row == nil {
-					break
-				}
-				it.insert(row)
-			}
-		}
-		if it.e.err != nil {
-			return nil
-		}
-	}
-	if it.e.err != nil || it.pos >= len(it.rows) {
-		return nil
-	}
-	r := it.rows[it.pos]
-	it.pos++
-	return r
-}
-
-func (it *topKIter) insert(row []rdf.TermID) {
-	e, n := it.e, len(it.rows)
-	if n == it.k && e.cmpCanonical(it.slots, row, it.rows[n-1]) >= 0 {
-		return // not smaller than the current k-th row
-	}
-	i := sort.Search(n, func(i int) bool {
-		return e.cmpCanonical(it.slots, row, it.rows[i]) < 0
-	})
-	if it.distinct && i > 0 && e.cmpCanonical(it.slots, row, it.rows[i-1]) == 0 {
-		return // duplicate of a retained row
-	}
-	if n == it.k {
-		e.release(it.rows[n-1]) // evict the previous k-th row
-		copy(it.rows[i+1:], it.rows[i:n-1])
-	} else {
-		it.rows = append(it.rows, nil)
-		copy(it.rows[i+1:], it.rows[i:n])
-	}
-	it.rows[i] = e.extend(row)
-}
-
 // distinctIter streams duplicate elimination over the projected
 // columns, keeping each row's first occurrence (used after the ORDER BY
 // barrier, where order must be preserved).
@@ -1428,45 +1087,47 @@ func EvalCursorTrace(ds *rdf.Dataset, q *Query, tr *obs.Trace) (*Cursor, error) 
 		// with the aggregate aliases bound.
 		src = e.traced(e.aggregateChain(q, src), "group-aggregate", "group-aggregate", "", src)
 	}
+	// The tail is one order barrier: the bounded top-k when the page
+	// has an end (offset+limit rows are all it must keep), else the full
+	// sort. ORDER BY runs before projection-level DISTINCT (it may use
+	// non-projected keys, and DISTINCT keeps each row's first occurrence
+	// in order), so it gets the bounded barrier only without DISTINCT.
+	// The canonical order ties only identical projected rows, so it
+	// applies DISTINCT inside either barrier.
+	ord := rowOrder{e: e, slots: c.slots}
+	name := "canon-sort"
+	if len(q.OrderBy) > 0 {
+		ord = rowOrder{e: e, slots: make([]int, len(q.OrderBy)), desc: make([]bool, len(q.OrderBy)), numeric: true}
+		for ki, k := range q.OrderBy {
+			ord.slots[ki] = lay.index[k.Var]
+			ord.desc[ki] = k.Desc && mutation != mutOrderIgnoreDesc
+		}
+		name = "sort"
+	}
+	// offset+limit overflowing int (a hostile offset near MaxInt,
+	// reachable through REST paging) cannot size the bounded barrier,
+	// so that page runs through the full one.
+	bounded := q.Limit > 0 && q.Offset <= math.MaxInt-q.Limit && (len(q.OrderBy) == 0 || !q.Distinct)
+	var it rowIter
 	switch {
 	case q.Limit == 0:
 		// An empty page needs no evaluation at all.
 		c.it = emptyIter{}
+		return c, nil
+	case bounded:
+		it = e.traced(&topKIter{ord: ord, src: src, k: q.Offset + q.Limit, distinct: q.Distinct}, "top-k", "top-k", "", src)
 	case len(q.OrderBy) > 0:
-		// ORDER BY keys may tie distinct rows, so the page cut needs the
-		// stable full sort; the sort precedes projection-level DISTINCT
-		// and may use non-projected keys.
-		kSlots := make([]int, len(q.OrderBy))
-		for ki, k := range q.OrderBy {
-			kSlots[ki] = lay.index[k.Var]
-		}
-		it := e.traced(&sortIter{e: e, src: src, keys: q.OrderBy, kSlots: kSlots}, "sort", "sort", "", src)
+		it = e.traced(&sortIter{ord: ord, src: src}, name, name, "", src)
 		if q.Distinct {
 			it = e.traced(&distinctIter{src: it, slots: c.slots, seen: map[string]struct{}{}}, "distinct", "distinct", "", it)
 		}
-		c.it = e.traced(&pageIter{src: it, skip: q.Offset, limit: q.Limit}, "page", "page", "", it)
-	case q.Limit > 0:
-		if q.Offset > math.MaxInt-q.Limit {
-			// offset+limit would overflow int (a hostile offset near
-			// MaxInt, reachable through REST paging): the bounded top-k
-			// cannot represent the page cut, so run the unbounded
-			// canonical barrier and skip past the offset instead — the
-			// same rows for any offset, without the overflowed capacity
-			// silently dropping the whole result.
-			it := e.traced(&canonIter{e: e, src: src, slots: c.slots, distinct: q.Distinct}, "canon-sort", "canon-sort", "", src)
-			c.it = e.traced(&pageIter{src: it, skip: q.Offset, limit: q.Limit}, "page", "page", "", it)
-			break
-		}
-		// Canonical order with a page bound: keep only offset+limit rows.
-		top := e.traced(&topKIter{e: e, src: src, slots: c.slots, k: q.Offset + q.Limit, distinct: q.Distinct}, "top-k", "top-k", "", src)
-		c.it = e.traced(&pageIter{src: top, skip: q.Offset, limit: q.Limit}, "page", "page", "", top)
 	default:
-		it := e.traced(&canonIter{e: e, src: src, slots: c.slots, distinct: q.Distinct}, "canon-sort", "canon-sort", "", src)
-		if q.Offset > 0 {
-			it = e.traced(&pageIter{src: it, skip: q.Offset, limit: -1}, "page", "page", "", it)
-		}
-		c.it = it
+		it = e.traced(&sortIter{ord: ord, src: src, distinct: q.Distinct}, name, name, "", src)
 	}
+	if q.Offset > 0 || q.Limit > 0 {
+		it = e.traced(&pageIter{src: it, skip: q.Offset, limit: q.Limit}, "page", "page", "", it)
+	}
+	c.it = it
 	return c, nil
 }
 

@@ -356,24 +356,6 @@ func EvalContext(ctx context.Context, ds *rdf.Dataset, q *Query) (*Result, error
 	return res, nil
 }
 
-// compareOrder orders terms numerically when both parse as numbers, else
-// by rdf.Compare.
-func compareOrder(a, b rdf.Term) int {
-	fa, erra := a.Float()
-	fb, errb := b.Float()
-	if erra == nil && errb == nil {
-		switch {
-		case fa < fb:
-			return -1
-		case fa > fb:
-			return 1
-		default:
-			return 0
-		}
-	}
-	return rdf.Compare(a, b)
-}
-
 // orderPatterns arranges a group's patterns for evaluation: basic
 // patterns (triples and property paths) before OPTIONALs so left joins
 // see the full base solution set, preserving the relative order of

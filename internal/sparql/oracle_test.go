@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"sort"
+	"strconv"
 	"strings"
 
 	"mdm/internal/rdf"
@@ -63,28 +64,7 @@ func refEval(ds *rdf.Dataset, q *Query) (*refResult, error) {
 	// ORDER BY before projection so order keys may be non-projected.
 	if len(q.OrderBy) > 0 {
 		sort.SliceStable(sols, func(i, j int) bool {
-			for _, k := range q.OrderBy {
-				ti, iok := sols[i][k.Var]
-				tj, jok := sols[j][k.Var]
-				var c int
-				switch {
-				case !iok && !jok:
-					c = 0
-				case !iok:
-					c = -1
-				case !jok:
-					c = 1
-				default:
-					c = compareOrder(ti, tj)
-				}
-				if c != 0 {
-					if k.Desc {
-						return c > 0
-					}
-					return c < 0
-				}
-			}
-			return false
+			return refCmpSolutions(q.OrderBy, sols[i], sols[j]) < 0
 		})
 	}
 
@@ -138,6 +118,70 @@ func refEval(ds *rdf.Dataset, q *Query) (*refResult, error) {
 	}
 	res.Sols = projected
 	return res, nil
+}
+
+// refCmpSolutions is the oracle's ORDER BY row order: keys left to
+// right, unbound first (last under DESC), terms by refCompareOrder.
+func refCmpSolutions(keys []OrderKey, a, b Binding) int {
+	for _, k := range keys {
+		ta, aok := a[k.Var]
+		tb, bok := b[k.Var]
+		var c int
+		switch {
+		case !aok && !bok:
+			c = 0
+		case !aok:
+			c = -1
+		case !bok:
+			c = 1
+		default:
+			c = refCompareOrder(ta, tb)
+		}
+		if c != 0 {
+			if k.Desc {
+				return -c
+			}
+			return c
+		}
+	}
+	return 0
+}
+
+// refCompareOrder is the oracle's ORDER BY term order, written apart
+// from the engine's compareOrder: IRIs, then blank nodes, then literals
+// strconv.ParseFloat accepts (by value, NaN first, equal values tied),
+// then all other literals; within a class other than numbers, terms
+// compare by rdf.Compare.
+func refCompareOrder(a, b rdf.Term) int {
+	ca, fa := refOrderClass(a)
+	cb, fb := refOrderClass(b)
+	switch {
+	case ca != cb:
+		return ca - cb
+	case ca != 2:
+		return rdf.Compare(a, b)
+	}
+	na, nb := fa != fa, fb != fb
+	switch {
+	case na && nb, !na && !nb && fa == fb:
+		return 0
+	case na, !nb && fa < fb:
+		return -1
+	}
+	return 1
+}
+
+func refOrderClass(t rdf.Term) (int, float64) {
+	switch t.Kind {
+	case rdf.KindIRI:
+		return 0, 0
+	case rdf.KindBlank:
+		return 1, 0
+	}
+	if f, err := strconv.ParseFloat(t.Value, 64); err == nil {
+		return 2, f
+	}
+	return 3, 0
 }
 
 func refDedupe(vars []string, sols []Binding) []Binding {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -17,12 +18,14 @@ import (
 // multisets must be identical. Generation is seeded, so failures
 // reproduce by seed number.
 //
-// Generator invariant: LIMIT/OFFSET are only generated *without* ORDER
-// BY. Without ORDER BY both engines canonically sort by all projected
-// columns, a total order up to row identity, so page selection is
-// multiset-deterministic; ORDER BY keys, in contrast, may tie distinct
-// rows (numeric comparison even ties distinct terms such as "3" and
-// "3"^^xsd:integer), making the page cut legitimately engine-dependent.
+// Pages: without ORDER BY both engines canonically sort by all projected
+// columns, a total order up to row identity, so a LIMIT/OFFSET page must
+// equal the oracle's page as a multiset. ORDER BY keys, in contrast, may
+// tie distinct rows (non-key columns differ, or numerically equal terms
+// such as "3" and "3"^^xsd:integer), and the engines see their input in
+// different orders, so which tied rows an ORDER BY page keeps is
+// legitimately engine-dependent. Such a page is pinned by its order
+// keys instead (answerDiff).
 
 const specPairs = 300
 
@@ -43,6 +46,9 @@ var (
 		rdf.IRI("http://ex.org/o0"), rdf.Lit("v0"), rdf.Lit("v1"),
 		rdf.Lit("3"), rdf.IntLit(1), rdf.IntLit(3), rdf.IntLit(7),
 		rdf.FloatLit(2.5), rdf.LangLit("hola", "es"), rdf.Blank("b0"),
+		// "5x" sorts lexically before 7 but after every number under the
+		// order; "NaN" is the lowest number.
+		rdf.Lit("5x"), rdf.Lit("NaN"),
 	}
 	specGraphNames = []rdf.Term{
 		rdf.IRI("http://ex.org/g0"), rdf.IRI("http://ex.org/g1"),
@@ -279,19 +285,28 @@ func genQuery(r *rand.Rand, ds *rdf.Dataset) *Query {
 		}
 	}
 	switch r.Intn(10) {
-	case 0, 1, 2, 3: // ORDER BY, no paging
+	case 0, 1, 2, 3: // ORDER BY, sometimes paged
 		for i, n := 0, 1+r.Intn(2); i < n; i++ {
 			q.OrderBy = append(q.OrderBy, OrderKey{Var: pick(r, specVars), Desc: r.Intn(2) == 0})
 		}
+		if r.Intn(2) == 0 {
+			genPage(r, q, 12, 8)
+		}
 	case 4, 5: // paging without ORDER BY (canonical sort is total)
-		if r.Intn(2) == 0 {
-			q.Limit = r.Intn(12)
-		}
-		if r.Intn(2) == 0 {
-			q.Offset = r.Intn(8) // sometimes beyond the result size
-		}
+		genPage(r, q, 12, 8)
 	}
 	return q
+}
+
+// genPage gives q a LIMIT below maxLimit and an OFFSET below maxOffset,
+// each with probability 1/2; the offset is sometimes beyond the result.
+func genPage(r *rand.Rand, q *Query, maxLimit, maxOffset int) {
+	if r.Intn(2) == 0 {
+		q.Limit = r.Intn(maxLimit)
+	}
+	if r.Intn(2) == 0 {
+		q.Offset = r.Intn(maxOffset)
+	}
 }
 
 // --- multiset comparison ---
@@ -373,16 +388,8 @@ func checkEquivalence(t *testing.T, ds *rdf.Dataset, q *Query, seed int64) {
 		t.Fatalf("seed %d: rows engine=%d decoded=%d oracle=%d\nquery: %s\ndata:\n%s",
 			seed, got.Len(), len(sols), len(want.Sols), q, datasetDump(ds))
 	}
-	me, mo := multiset(got.Vars, sols), multiset(want.Vars, want.Sols)
-	if len(me) != len(mo) {
-		t.Fatalf("seed %d: %d distinct rows vs oracle %d\nquery: %s\ndata:\n%sdiff:\n%s",
-			seed, len(me), len(mo), q, datasetDump(ds), diffMultisets(me, mo))
-	}
-	for k, n := range me {
-		if mo[k] != n {
-			t.Fatalf("seed %d: multiset mismatch\nquery: %s\ndata:\n%sdiff:\n%s",
-				seed, q, datasetDump(ds), diffMultisets(me, mo))
-		}
+	if d := answerDiff(ds, q, got.Vars, sols, want); d != "" {
+		t.Fatalf("seed %d: engine answer differs from the oracle's\nquery: %s\ndata:\n%s%s", seed, q, datasetDump(ds), d)
 	}
 	// Cross-check the cell accessor against the decoded bindings.
 	for i := 0; i < got.Len(); i++ {
@@ -394,8 +401,99 @@ func checkEquivalence(t *testing.T, ds *rdf.Dataset, q *Query, seed int64) {
 			}
 		}
 	}
-	checkCursor(t, ds, q, seed, got, mo)
-	checkJoinStrategies(t, ds, q, seed, false, mo)
+	checkCursor(t, ds, q, seed, got, want)
+	checkJoinStrategies(t, ds, q, seed, false, want)
+}
+
+// orderedPage reports whether q cuts a page out of an ORDER BY result.
+func orderedPage(q *Query) bool {
+	return len(q.OrderBy) > 0 && (q.Limit >= 0 || q.Offset > 0)
+}
+
+// answerDiff compares the engine's solutions sols (columns vars) to the
+// oracle's answer want to q, returning "" when they agree:
+//
+//   - Except for an ORDER BY page, the solutions equal the oracle's as
+//     a multiset. An ORDER BY page has the oracle page's length and is
+//     a sub-multiset of the oracle's unpaged answer.
+//   - When every ORDER BY key is projected, the rows are non-decreasing
+//     under the order, and a page's keys equal the oracle page's keys
+//     row by row (tied under the order, or both unbound).
+func answerDiff(ds *rdf.Dataset, q *Query, vars []string, sols []Binding, want *refResult) string {
+	me := multiset(vars, sols)
+	if !orderedPage(q) {
+		if d := multisetDiff(me, multiset(want.Vars, want.Sols)); d != "" {
+			return d
+		}
+	} else {
+		if len(sols) != len(want.Sols) {
+			return fmt.Sprintf("ORDER BY page has %d rows, oracle %d\n", len(sols), len(want.Sols))
+		}
+		full, err := refEval(ds, &Query{
+			Form: q.Form, Distinct: q.Distinct, Star: q.Star, Variables: q.Variables, Where: q.Where,
+			OrderBy: q.OrderBy, Limit: -1, GroupBy: q.GroupBy, Aggregates: q.Aggregates, Having: q.Having,
+		})
+		if err != nil {
+			return fmt.Sprintf("oracle err on the unpaged query: %v\n", err)
+		}
+		mf := multiset(full.Vars, full.Sols)
+		for k, n := range me {
+			if mf[k] < n {
+				return fmt.Sprintf("ORDER BY page row %s occurs %d times, %d in the unpaged answer\n", k, n, mf[k])
+			}
+		}
+	}
+	for _, k := range q.OrderBy {
+		if !slices.Contains(vars, k.Var) {
+			return ""
+		}
+	}
+	for i := 1; i < len(sols); i++ {
+		if refCmpSolutions(q.OrderBy, sols[i-1], sols[i]) > 0 {
+			return fmt.Sprintf("rows %d and %d are out of order: %v then %v\n", i-1, i, sols[i-1], sols[i])
+		}
+	}
+	if orderedPage(q) {
+		for i := range sols {
+			if refCmpSolutions(q.OrderBy, sols[i], want.Sols[i]) != 0 {
+				return fmt.Sprintf("page row %d has keys of %v, oracle %v\n", i, sols[i], want.Sols[i])
+			}
+		}
+	}
+	return ""
+}
+
+// multisetDiff returns "" when a and b are equal multisets, else their
+// difference.
+func multisetDiff(a, b map[string]int) string {
+	if len(a) == len(b) {
+		same := true
+		for k, n := range a {
+			if b[k] != n {
+				same = false
+				break
+			}
+		}
+		if same {
+			return ""
+		}
+	}
+	return "diff:\n" + diffMultisets(a, b)
+}
+
+// sequenceDiff returns "" when the engine's rows equal the oracle's row
+// for row. Only fixtures whose input order both engines share (UNION
+// branches each matching one triple) may demand it.
+func sequenceDiff(vars []string, sols []Binding, want *refResult) string {
+	if len(sols) != len(want.Sols) {
+		return fmt.Sprintf("%d rows, oracle %d", len(sols), len(want.Sols))
+	}
+	for i := range sols {
+		if solKey(vars, sols[i]) != solKey(want.Vars, want.Sols[i]) {
+			return fmt.Sprintf("row %d = %v, oracle %v", i, sols[i], want.Sols[i])
+		}
+	}
+	return ""
 }
 
 // checkJoinStrategies re-evaluates q with the planner's join choice
@@ -405,7 +503,7 @@ func checkEquivalence(t *testing.T, ds *rdf.Dataset, q *Query, seed int64) {
 // runs, never what it returns — this pins that for every generated
 // query, including the OPTIONAL/UNION/GRAPH shapes whose probe rows can
 // leave pattern variables unbound.
-func checkJoinStrategies(t *testing.T, ds *rdf.Dataset, q *Query, seed int64, askWant bool, oracle map[string]int) {
+func checkJoinStrategies(t *testing.T, ds *rdf.Dataset, q *Query, seed int64, askWant bool, want *refResult) {
 	t.Helper()
 	strategies := []struct {
 		name string
@@ -427,16 +525,8 @@ func checkJoinStrategies(t *testing.T, ds *rdf.Dataset, q *Query, seed int64, as
 				}
 				return
 			}
-			m := multiset(res.Vars, res.Solutions())
-			if len(m) != len(oracle) {
-				t.Fatalf("seed %d: %s-join %d distinct rows vs oracle %d\nquery: %s\ndata:\n%sdiff:\n%s",
-					seed, name, len(m), len(oracle), q, datasetDump(ds), diffMultisets(m, oracle))
-			}
-			for k, n := range m {
-				if oracle[k] != n {
-					t.Fatalf("seed %d: %s-join multiset mismatch\nquery: %s\ndata:\n%sdiff:\n%s",
-						seed, name, q, datasetDump(ds), diffMultisets(m, oracle))
-				}
+			if d := answerDiff(ds, q, res.Vars, res.Solutions(), want); d != "" {
+				t.Fatalf("seed %d: %s-join answer differs from the oracle's\nquery: %s\ndata:\n%s%s", seed, name, q, datasetDump(ds), d)
 			}
 		})
 	}
@@ -444,10 +534,10 @@ func checkJoinStrategies(t *testing.T, ds *rdf.Dataset, q *Query, seed int64, as
 
 // checkCursor re-evaluates q through the streaming API and pins it
 // against the already-verified materialized result: a full drain via
-// Solutions must reproduce the oracle multiset, and — when ORDER BY is
-// absent, so the canonical order is total — a partial drain (read k
-// rows, stop) must equal the prefix of the full read.
-func checkCursor(t *testing.T, ds *rdf.Dataset, q *Query, seed int64, full *Result, oracle map[string]int) {
+// Solutions must pass answerDiff too, and — when ORDER BY is absent, so
+// the canonical order is total — a partial drain (read k rows, stop)
+// must equal the prefix of the full read.
+func checkCursor(t *testing.T, ds *rdf.Dataset, q *Query, seed int64, full *Result, want *refResult) {
 	t.Helper()
 	ctx := context.Background()
 
@@ -462,20 +552,14 @@ func checkCursor(t *testing.T, ds *rdf.Dataset, q *Query, seed int64, full *Resu
 	if cur.Err() != nil {
 		t.Fatalf("seed %d: cursor Err = %v", seed, cur.Err())
 	}
-	if mc := multiset(cur.Vars(), sols); len(mc) != len(oracle) {
-		t.Fatalf("seed %d: cursor drain %d distinct rows vs oracle %d\nquery: %s", seed, len(mc), len(oracle), q)
-	} else {
-		for k, n := range mc {
-			if oracle[k] != n {
-				t.Fatalf("seed %d: cursor multiset mismatch\nquery: %s\ndiff:\n%s",
-					seed, q, diffMultisets(mc, oracle))
-			}
-		}
+	if d := answerDiff(ds, q, cur.Vars(), sols, want); d != "" {
+		t.Fatalf("seed %d: cursor drain differs from the oracle's answer\nquery: %s\n%s", seed, q, d)
 	}
 
 	if len(q.OrderBy) > 0 {
-		// ORDER BY keys may tie distinct rows, so prefixes are
-		// legitimately run-dependent; only the multiset is pinned above.
+		// ORDER BY keys may tie distinct rows, whose input order —
+		// and so their order in the stable sort — may differ between
+		// evaluations; answerDiff pinned the order above.
 		return
 	}
 	k := full.Len() / 2
@@ -662,13 +746,11 @@ func genPathAggQuery(r *rand.Rand, ds *rdf.Dataset, withPath, withAgg bool) *Que
 			for i, n := 0, 1+r.Intn(2); i < n; i++ {
 				q.OrderBy = append(q.OrderBy, OrderKey{Var: pick(r, specVars), Desc: r.Intn(2) == 0})
 			}
+			if r.Intn(2) == 0 {
+				genPage(r, q, 12, 8)
+			}
 		case 4, 5:
-			if r.Intn(2) == 0 {
-				q.Limit = r.Intn(12)
-			}
-			if r.Intn(2) == 0 {
-				q.Offset = r.Intn(8)
-			}
+			genPage(r, q, 12, 8)
 		}
 		return q
 	}
@@ -703,13 +785,11 @@ func genPathAggQuery(r *rand.Rand, ds *rdf.Dataset, withPath, withAgg bool) *Que
 	switch r.Intn(10) {
 	case 0, 1, 2:
 		q.OrderBy = append(q.OrderBy, OrderKey{Var: pick(r, q.Variables), Desc: r.Intn(2) == 0})
+		if r.Intn(2) == 0 {
+			genPage(r, q, 6, 4)
+		}
 	case 3, 4:
-		if r.Intn(2) == 0 {
-			q.Limit = r.Intn(6)
-		}
-		if r.Intn(2) == 0 {
-			q.Offset = r.Intn(4)
-		}
+		genPage(r, q, 6, 4)
 	}
 	return q
 }
@@ -755,18 +835,8 @@ func assertMutationCaught(t *testing.T, ds *rdf.Dataset, q *Query, m int32) {
 	if werr != nil {
 		t.Fatalf("oracle err = %v", werr)
 	}
-	me, mo := multiset(got.Vars, got.Solutions()), multiset(want.Vars, want.Sols)
-	if len(me) == len(mo) {
-		same := true
-		for k, n := range me {
-			if mo[k] != n {
-				same = false
-				break
-			}
-		}
-		if same {
-			t.Fatalf("mutation %d not caught: engine still matches oracle\nquery: %s\nresult:\n%s", m, q, got.Table())
-		}
+	if answerDiff(ds, q, got.Vars, got.Solutions(), want) == "" {
+		t.Fatalf("mutation %d not caught: engine still matches oracle\nquery: %s\nresult:\n%s", m, q, got.Table())
 	}
 }
 
@@ -808,4 +878,64 @@ func TestSpecMutationHavingPreAgg(t *testing.T) {
 	q := MustParse(`PREFIX ex: <http://ex.org/> SELECT ?s (COUNT(*) AS ?n) WHERE { ?s ex:p ?o } GROUP BY ?s HAVING (?n > 1)`)
 	checkEquivalence(t, ds, q, -1)
 	assertMutationCaught(t, ds, q, mutHavingPreAgg)
+}
+
+func TestSpecMutationOrderIgnoreDesc(t *testing.T) {
+	ds := rdf.NewDataset()
+	ex := func(s string) rdf.Term { return rdf.IRI("http://ex.org/" + s) }
+	for i, v := range []rdf.Term{rdf.IntLit(3), rdf.Lit("x"), rdf.IntLit(10), ex("o")} {
+		ds.Default().MustAdd(rdf.T(ex(fmt.Sprintf("s%d", i)), ex("p"), v))
+	}
+	q := MustParse(`PREFIX ex: <http://ex.org/> SELECT ?s ?v WHERE { ?s ex:p ?v } ORDER BY DESC(?v)`)
+	checkEquivalence(t, ds, q, -1)
+	assertMutationCaught(t, ds, q, mutOrderIgnoreDesc)
+}
+
+// unionFixture stores one (?s ex:p<i> ?v) triple per value and returns a
+// query whose UNION branches match them in the given order, so both
+// engines see the rows in that order.
+func unionFixture(vals []rdf.Term, tail string) (*rdf.Dataset, *Query) {
+	ds := rdf.NewDataset()
+	ex := func(s string) rdf.Term { return rdf.IRI("http://ex.org/" + s) }
+	var branches []string
+	for i, v := range vals {
+		ds.Default().MustAdd(rdf.T(ex(fmt.Sprintf("s%d", i)), ex(fmt.Sprintf("p%d", i)), v))
+		branches = append(branches, fmt.Sprintf("{ ?s ex:p%d ?v }", i))
+	}
+	return ds, MustParse(`PREFIX ex: <http://ex.org/> SELECT ?s ?v WHERE { ` + strings.Join(branches, " UNION ") + ` } ` + tail)
+}
+
+func TestSpecMutationTopKNoSeq(t *testing.T) {
+	// Rows s0 and s1 tie on ?v and precede the smaller s2. The stable
+	// cut keeps s2 then s0; a heap that orders ties arbitrarily evicts
+	// s0, the earlier tied row, when s2 arrives.
+	ds, q := unionFixture([]rdf.Term{rdf.IntLit(5), rdf.IntLit(5), rdf.IntLit(1)}, "ORDER BY ?v LIMIT 2")
+	checkEquivalence(t, ds, q, -1)
+	seqCaught := func() string {
+		got, err := Eval(ds, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refEval(ds, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sequenceDiff(got.Vars, got.Solutions(), want)
+	}
+	if d := seqCaught(); d != "" {
+		t.Fatalf("unmutated engine: %s", d)
+	}
+	mutation = mutTopKNoSeq
+	defer func() { mutation = mutNone }()
+	if seqCaught() == "" {
+		t.Fatal("mutation mutTopKNoSeq not caught: the page still equals the stable sort's")
+	}
+}
+
+func TestSpecMutationOrderNonTransitive(t *testing.T) {
+	// "9" < "10" < "5x" < "9" under the old comparator: ranked in this
+	// input order it puts "10" before "9".
+	ds, q := unionFixture([]rdf.Term{rdf.Lit("5x"), rdf.Lit("10"), rdf.Lit("9")}, "ORDER BY ?v")
+	checkEquivalence(t, ds, q, -1)
+	assertMutationCaught(t, ds, q, mutOrderNonTransitive)
 }

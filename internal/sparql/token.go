@@ -32,13 +32,16 @@
 //
 // # Result ordering
 //
-// With ORDER BY, rows stream out of a stable sort barrier. Without
+// With ORDER BY, rows follow the ORDER BY order: keys left to right,
+// unbound first (last under DESC), IRIs < blank nodes < numeric
+// literals by value < other literals, input order among ties. Without
 // ORDER BY, results follow a canonical order (projected columns,
-// compared left to right, unbound first): a total order up to row
-// identity, which makes repeated evaluations — and therefore
-// LIMIT/OFFSET pages — deterministic. When a LIMIT is present, the
-// canonical case is served by a bounded top-k operator that retains
-// only offset+limit rows instead of sorting the full result.
+// compared left to right, unbound first, terms by rdf.Compare): a total
+// order up to row identity, which makes repeated evaluations — and
+// therefore LIMIT/OFFSET pages — deterministic. Both are imposed by one
+// stable sort barrier, or, when a LIMIT is present (for ORDER BY, only
+// without DISTINCT), by a bounded top-k barrier that retains only
+// offset+limit rows and emits exactly the page the sort would.
 //
 // # ID-row evaluation model
 //
